@@ -12,7 +12,6 @@ and measurement simulation (:mod:`phdfuse.scenario`), OSPA-based evaluation
 __version__ = "0.1.0"
 
 from .gaussian import (
-    GaussianComponent,
     GaussianMixture,
     cap,
     coalesce_duplicates,
@@ -75,7 +74,7 @@ from .scenario import (
     simulate_measurements,
     simulate_truth,
 )
-from .metrics import OspaConfig, OspaResult, cardinality_error, network_ospa, ospa
+from .metrics import OspaConfig, OspaResult, ospa
 from .experiment import (
     ExperimentConfig,
     ExperimentResult,
@@ -87,7 +86,6 @@ from .experiment import (
 __all__ = [
     "__version__",
     # gaussian
-    "GaussianComponent",
     "GaussianMixture",
     "mixture_sum",
     "scale",
@@ -149,8 +147,6 @@ __all__ = [
     "OspaConfig",
     "OspaResult",
     "ospa",
-    "network_ospa",
-    "cardinality_error",
     # experiment
     "ExperimentConfig",
     "ExperimentResult",

@@ -8,13 +8,15 @@ Subcommands:
   simulate   one scenario realization; writes truth.txt and measurements.txt
              in the line-oriented replay format
 
-Exit status is 0 on success and 2 on configuration/validation errors.
+Exit status is 0 on success, 1 if any Monte Carlo run failed numerically, and
+2 on configuration/validation errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .experiment import (
@@ -28,6 +30,7 @@ from .experiment import (
     write_runs_csv,
     write_summary_csv,
 )
+from .policies import lookup_algorithm
 from .scenario import build_scenario, simulate_measurements, simulate_truth, write_measurements, write_truth
 from .streams import substream
 
@@ -99,10 +102,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if not algorithms or not alphas:
         raise ValueError("compare needs at least one algorithm and one alpha")
     configs: list[ExperimentConfig] = []
-    from dataclasses import replace
-
     for algorithm in algorithms:
-        if algorithm == "no_consensus":
+        if not lookup_algorithm(algorithm).communicates:
             configs.append(replace(base, algorithm=algorithm, alpha=0))
             continue
         for alpha in alphas:
@@ -119,8 +120,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             f"{pair.label_a} vs {pair.label_b}: diff {pair.mean_diff:+.3f} m "
             f"(ci [{pair.ci_low:+.3f}, {pair.ci_high:+.3f}]) {status}"
         )
+    failed = sum(len(result.failed_runs) for result in comparison.results)
+    if failed:
+        print(f"{failed} runs failed; pairs use the runs both campaigns completed")
     print(f"outputs in {directory}")
-    return 0
+    return 0 if failed == 0 else 1
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .gaussian import GaussianMixture, coalesce_duplicates, l2_distance, mixture_sum, scale
 from .phd import PhdConfig, reduce_mixture
-from .policies import PolicyTag, Transmission, reconstruct
+from .policies import Transmission, fuses_partially, reconstruct
 from .streams import substream
 
 __all__ = [
@@ -331,9 +331,10 @@ def consensus_round(
     sensors j it listens to.  The rank and threshold policies deliberately
     withhold their senders' weak components, so their rounds fuse with
     :func:`partial_fusion` instead, which only averages what was actually
-    reported.  Components that are bitwise copies of one another are
-    coalesced, and an optional prune/merge/cap reduction is applied to each
-    fused result.
+    reported.  Which rule a policy gets is looked up by its ``tag`` in
+    ``phdfuse.policies.ALGORITHMS``.  Components that are bitwise copies of one
+    another are coalesced, and an optional prune/merge/cap reduction is
+    applied to each fused result.
 
     Returns the new intensities and the transmissions that were broadcast.
     """
@@ -343,7 +344,7 @@ def consensus_round(
     if rngs is not None and len(rngs) != n:
         raise ValueError("one random stream per sensor is required")
     omega = weights.omega
-    partial = getattr(policy, "tag", None) in (PolicyTag.RANK, PolicyTag.THRESHOLD)
+    partial = fuses_partially(getattr(policy, "tag", None))
     transmissions = [
         policy.select(intensities[j], rngs[j] if rngs is not None else None) for j in range(n)
     ]

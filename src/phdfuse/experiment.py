@@ -33,17 +33,7 @@ from .consensus import consensus_round
 from .gaussian import GaussianMixture
 from .metrics import OspaConfig, ospa, time_averaged_network_ospa
 from .phd import PhdConfig, extract_targets, predict, reduce_mixture, update
-from .policies import (
-    FullPolicy,
-    PolicyTag,
-    RankPolicy,
-    SampleWithReplacementPolicy,
-    SamplingConfig,
-    ThresholdPolicy,
-    Transmission,
-    sample_without_replacement,
-    transmission_cost,
-)
+from .policies import ALGORITHMS, lookup_algorithm, transmission_cost
 from .scenario import (
     Scenario,
     ScenarioConfig,
@@ -54,7 +44,7 @@ from .scenario import (
 from .streams import substream
 
 __all__ = [
-    "ALGORITHMS",
+    "BudgetExceeded",
     "ExperimentConfig",
     "StepRow",
     "RunRecord",
@@ -71,18 +61,6 @@ __all__ = [
     "write_manifest",
 ]
 
-ALGORITHMS = (
-    "no_consensus",
-    "full",
-    "partial_rank",
-    "partial_threshold",
-    "sample_replacement",
-    "sample_no_replacement",
-)
-
-# Algorithms whose transmissions must never exceed the component budget.
-_BUDGETED = ("partial_rank", "sample_replacement", "sample_no_replacement")
-
 CSV_SCHEMA_VERSION = 1
 ROW_HEADER = (
     "run",
@@ -95,34 +73,6 @@ ROW_HEADER = (
     "tx_ints",
     "tx_components",
 )
-
-
-@dataclass(frozen=True)
-class AdaptiveWithoutReplacementPolicy:
-    """Sampling without replacement with the budget clamped to the mixture size.
-
-    The underlying selection requires B <= J; mixtures smaller than the budget
-    are simply sent whole (the B = J identity selection).
-    """
-
-    bandwidth: int
-    inclusion_replicates: int
-    tag: PolicyTag = PolicyTag.SAMPLE_NO_REPLACEMENT
-
-    def select(self, gm: GaussianMixture, rng: np.random.Generator | None = None) -> Transmission:
-        if gm.size == 0:
-            return Transmission(
-                policy=PolicyTag.SAMPLE_NO_REPLACEMENT,
-                entries=(),
-                shared_weight=None,
-                dimension=gm.dimension,
-            )
-        config = SamplingConfig(
-            bandwidth=min(self.bandwidth, gm.size),
-            replacement=False,
-            inclusion_replicates=self.inclusion_replicates,
-        )
-        return sample_without_replacement(gm, config, rng)
 
 
 @dataclass(frozen=True)
@@ -147,10 +97,7 @@ class ExperimentConfig:
     ospa_full_state: bool = False
 
     def __post_init__(self) -> None:
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(
-                f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}"
-            )
+        lookup_algorithm(self.algorithm)
         if self.alpha < 0:
             raise ValueError("alpha must be non-negative")
         if self.bandwidth < 1:
@@ -170,7 +117,7 @@ class ExperimentConfig:
 
     @property
     def rounds(self) -> int:
-        return 0 if self.algorithm == "no_consensus" else self.alpha
+        return self.alpha if ALGORITHMS[self.algorithm].communicates else 0
 
     def manifest_dict(self) -> dict:
         payload = asdict(self)
@@ -178,29 +125,6 @@ class ExperimentConfig:
         payload["phd"] = asdict(self.phd)
         payload["ospa"] = asdict(self.ospa)
         return payload
-
-
-def _build_policy(config: ExperimentConfig):
-    if config.algorithm in ("no_consensus",):
-        return None
-    if config.algorithm == "full":
-        return FullPolicy()
-    if config.algorithm == "partial_rank":
-        return RankPolicy(bandwidth=config.bandwidth)
-    if config.algorithm == "partial_threshold":
-        return ThresholdPolicy(tau=config.threshold)
-    if config.algorithm == "sample_replacement":
-        return SampleWithReplacementPolicy(
-            SamplingConfig(
-                bandwidth=config.bandwidth,
-                draw_mode=config.draw_mode,
-                draws=config.draws,
-                replacement=True,
-            )
-        )
-    return AdaptiveWithoutReplacementPolicy(
-        bandwidth=config.bandwidth, inclusion_replicates=config.inclusion_replicates
-    )
 
 
 @dataclass(frozen=True)
@@ -273,8 +197,17 @@ class ExperimentResult:
         return float(np.mean([r.total_tx_floats for r in records]))
 
 
+class BudgetExceeded(Exception):
+    """A budgeted policy sent more components than the campaign's bandwidth.
+
+    A programming error, not a numerical failure: it aborts the campaign
+    instead of being recorded as a failed run.
+    """
+
+
 def _single_run(scenario: Scenario, config: ExperimentConfig, run_index: int) -> RunRecord:
-    policy = _build_policy(config)
+    rule = ALGORITHMS[config.algorithm]
+    policy = rule.build(config)
     seed = config.master_seed
     sim = scenario.config
     truth_rng = substream(seed, "truth", run_index) if sim.truth_process_noise else None
@@ -285,7 +218,6 @@ def _single_run(scenario: Scenario, config: ExperimentConfig, run_index: int) ->
     total_cost = np.zeros(3, dtype=np.int64)
     filter_components = 0
     consensus_components = 0
-    budget_limited = config.algorithm in _BUDGETED
     for k in range(1, sim.horizon + 1):
         frame = truth.at(k)
         measurements = generate_measurements(
@@ -302,30 +234,29 @@ def _single_run(scenario: Scenario, config: ExperimentConfig, run_index: int) ->
             filter_components += updated.size
             posteriors[i] = reduce_mixture(updated, config.phd)
         step_cost = np.zeros((sim.sensor_count, 3), dtype=np.int64)
-        if policy is not None and config.rounds:
-            for round_index in range(1, config.rounds + 1):
-                rngs = [
-                    substream(seed, "consensus", run_index, k, round_index, i)
-                    for i in range(sim.sensor_count)
-                ]
-                posteriors, transmissions = consensus_round(
-                    posteriors,
-                    scenario.weights,
-                    policy,
-                    rngs,
-                    reduction=config.phd,
-                    match_threshold=config.phd.merge_threshold,
-                )
-                for i, transmission in enumerate(transmissions):
-                    if budget_limited and len(transmission) > config.bandwidth:
-                        raise AssertionError(
-                            f"policy {config.algorithm} sent {len(transmission)} "
-                            f"components against a budget of {config.bandwidth}"
-                        )
-                    cost = transmission_cost(transmission)
-                    step_cost[i] += (cost.floats, cost.integers, cost.components)
-                consensus_components += sum(mix.size for mix in posteriors)
-                consensus_components += sum(len(t) for t in transmissions)
+        for round_index in range(1, config.rounds + 1):
+            rngs = [
+                substream(seed, "consensus", run_index, k, round_index, i)
+                for i in range(sim.sensor_count)
+            ]
+            posteriors, transmissions = consensus_round(
+                posteriors,
+                scenario.weights,
+                policy,
+                rngs,
+                reduction=config.phd,
+                match_threshold=config.phd.merge_threshold,
+            )
+            for i, transmission in enumerate(transmissions):
+                if rule.budgeted and len(transmission) > config.bandwidth:
+                    raise BudgetExceeded(
+                        f"policy {config.algorithm} sent {len(transmission)} "
+                        f"components against a budget of {config.bandwidth}"
+                    )
+                cost = transmission_cost(transmission)
+                step_cost[i] += (cost.floats, cost.integers, cost.components)
+            consensus_components += sum(mix.size for mix in posteriors)
+            consensus_components += sum(len(t) for t in transmissions)
         truth_positions = frame.positions
         sensor_ospa: list[float] = []
         for i in range(sim.sensor_count):
@@ -364,13 +295,7 @@ def _single_run(scenario: Scenario, config: ExperimentConfig, run_index: int) ->
 def _guarded_run(scenario: Scenario, config: ExperimentConfig, run_index: int) -> RunRecord:
     try:
         return _single_run(scenario, config, run_index)
-    except (
-        np.linalg.LinAlgError,
-        ValueError,
-        ArithmeticError,
-        ZeroDivisionError,
-        AssertionError,
-    ) as exc:
+    except (np.linalg.LinAlgError, ValueError, ArithmeticError) as exc:
         return RunRecord(run=run_index, error=f"{type(exc).__name__}: {exc}")
 
 
@@ -416,17 +341,6 @@ class PairedComparison:
         return self.mean_diff >= 2.0 * self.se_diff
 
 
-# Canonical cost/benefit ordering used for paired comparisons: best first.
-_ALGORITHM_RANK = {
-    "full": 0,
-    "sample_replacement": 1,
-    "sample_no_replacement": 1,
-    "partial_rank": 2,
-    "partial_threshold": 2,
-    "no_consensus": 3,
-}
-
-
 @dataclass(frozen=True)
 class ComparisonResult:
     results: tuple[ExperimentResult, ...]
@@ -434,10 +348,15 @@ class ComparisonResult:
 
 
 def _paired(a: ExperimentResult, b: ExperimentResult) -> PairedComparison:
-    series_a = a.run_ospa
-    series_b = b.run_ospa
-    if series_a.size != series_b.size:
-        raise ValueError("paired comparison requires equal successful run counts")
+    """Pair the two campaigns by run index over the runs both completed."""
+    ospa_a = {r.run: r.time_averaged_network_ospa for r in a.successful}
+    ospa_b = {r.run: r.time_averaged_network_ospa for r in b.successful}
+    runs = sorted(ospa_a.keys() & ospa_b.keys())
+    if not runs:
+        nan = float("nan")
+        return PairedComparison(a.config.label, b.config.label, nan, nan, nan, nan, nan, nan)
+    series_a = np.array([ospa_a[run] for run in runs])
+    series_b = np.array([ospa_b[run] for run in runs])
     diff = series_b - series_a
     mean_diff = float(diff.mean())
     se = float(diff.std(ddof=1) / np.sqrt(diff.size)) if diff.size > 1 else 0.0
@@ -458,11 +377,14 @@ def compare_algorithms(
     results: Sequence[ExperimentResult] | None = None,
 ) -> ComparisonResult:
     """Run (or accept) several campaigns sharing a scenario and seeds, and pair
-    them in the canonical order full <= sampling <= partial <= no-consensus.
+    them in the canonical order of the algorithms' ``rank`` in
+    ``phdfuse.policies.ALGORITHMS`` (full <= sampling <= partial <=
+    no-consensus), more rounds first within one algorithm.
 
     All configs must share the scenario, seed, run count and OSPA settings so
     the per-run series are paired.  Adjacent configs in the canonical order
-    are compared by paired differences with +/- 2 SE confidence intervals.
+    are compared by paired differences, over the run indices both campaigns
+    completed, with +/- 2 SE confidence intervals.
     """
     if not configs:
         raise ValueError("compare_algorithms needs at least one config")
@@ -484,7 +406,7 @@ def compare_algorithms(
     elif len(results) != len(configs):
         raise ValueError("one result per config is required")
     ordered = sorted(
-        results, key=lambda r: (_ALGORITHM_RANK[r.config.algorithm], -r.config.alpha)
+        results, key=lambda r: (ALGORITHMS[r.config.algorithm].rank, -r.config.alpha)
     )
     pairs = tuple(_paired(ordered[i], ordered[i + 1]) for i in range(len(ordered) - 1))
     return ComparisonResult(results=tuple(ordered), pairs=pairs)

@@ -15,12 +15,11 @@ each operation documents.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "GaussianComponent",
     "GaussianMixture",
     "mixture_sum",
     "scale",
@@ -35,28 +34,6 @@ __all__ = [
 ]
 
 _SYMMETRY_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class GaussianComponent:
-    """A single weighted Gaussian: ``weight * N(x; mean, covariance)``."""
-
-    weight: float
-    mean: np.ndarray
-    covariance: np.ndarray
-
-    def __post_init__(self) -> None:
-        mean = np.asarray(self.mean, dtype=float)
-        cov = np.asarray(self.covariance, dtype=float)
-        if mean.ndim != 1:
-            raise ValueError(f"component mean must be 1-d, got shape {mean.shape}")
-        if cov.shape != (mean.size, mean.size):
-            raise ValueError(
-                f"covariance shape {cov.shape} does not match state dimension {mean.size}"
-            )
-        object.__setattr__(self, "weight", float(self.weight))
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "covariance", cov)
 
 
 def _as_readonly(array: np.ndarray) -> np.ndarray:
@@ -139,37 +116,12 @@ class GaussianMixture:
             dimension=dimension,
         )
 
-    @classmethod
-    def from_components(
-        cls, components: Iterable[GaussianComponent], dimension: int | None = None
-    ) -> "GaussianMixture":
-        items = list(components)
-        if not items:
-            if dimension is None:
-                raise ValueError("dimension is required when no components are given")
-            return cls.empty(dimension)
-        dim = items[0].mean.size
-        return cls(
-            weights=np.array([c.weight for c in items]),
-            means=np.stack([c.mean for c in items]),
-            covariances=np.stack([c.covariance for c in items]),
-            dimension=dim,
-        )
-
     @property
     def size(self) -> int:
         return int(self.weights.size)
 
     def __len__(self) -> int:
         return self.size
-
-    def __iter__(self) -> Iterator[GaussianComponent]:
-        for l in range(self.size):
-            yield GaussianComponent(
-                weight=float(self.weights[l]),
-                mean=self.means[l].copy(),
-                covariance=self.covariances[l].copy(),
-            )
 
     def total_weight(self) -> float:
         """Integral of the intensity over the whole state space."""

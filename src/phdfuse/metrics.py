@@ -21,9 +21,7 @@ __all__ = [
     "OspaConfig",
     "OspaResult",
     "ospa",
-    "network_ospa",
     "time_averaged_network_ospa",
-    "cardinality_error",
 ]
 
 
@@ -98,27 +96,9 @@ def ospa(
     return OspaResult(distance=distance, localization=localization, cardinality=cardinality)
 
 
-def network_ospa(
-    extracted: Sequence[Sequence[np.ndarray] | np.ndarray],
-    truth: Sequence[np.ndarray] | np.ndarray,
-    config: OspaConfig = OspaConfig(),
-) -> float:
-    """Mean OSPA over sensors: each sensor's extracted set against the truth."""
-    if not len(extracted):
-        raise ValueError("network_ospa needs at least one sensor's extraction")
-    return float(np.mean([ospa(sets, truth, config).distance for sets in extracted]))
-
-
 def time_averaged_network_ospa(values: Sequence[float]) -> float:
     """Arithmetic mean of per-timestep network OSPA values."""
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise ValueError("time average needs at least one value")
     return float(arr.mean())
-
-
-def cardinality_error(
-    total_weights: Sequence[float] | np.ndarray, true_count: int
-) -> np.ndarray:
-    """Signed per-sensor cardinality error: posterior total weight minus truth."""
-    return np.asarray(total_weights, dtype=float) - float(true_count)

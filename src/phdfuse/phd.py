@@ -19,7 +19,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .gaussian import GaussianMixture, cap, merge, mixture_sum, prune, symmetrize
+from .gaussian import (
+    GaussianMixture,
+    _batch_gaussian_density,
+    cap,
+    merge,
+    mixture_sum,
+    prune,
+    symmetrize,
+)
 
 __all__ = [
     "MotionModel",
@@ -287,14 +295,7 @@ def update(
         updated_cov = IKH @ prior.covariances
     updated_cov = symmetrize(updated_cov)
 
-    chol_S = np.linalg.cholesky(S)
-    diff = Z[:, np.newaxis, :] - predicted_z[np.newaxis, :, :]
-    solved = np.linalg.solve(
-        np.broadcast_to(chol_S, (Z.shape[0],) + chol_S.shape), diff[..., np.newaxis]
-    )[..., 0]
-    quad = np.einsum("mle,mle->ml", solved, solved)
-    logdet = 2.0 * np.sum(np.log(np.diagonal(chol_S, axis1=-2, axis2=-1)), axis=-1)
-    likelihood = np.exp(-0.5 * (quad + logdet[np.newaxis, :] + dim_z * np.log(2.0 * np.pi)))
+    likelihood = _batch_gaussian_density(Z, predicted_z, S)
 
     detection_weight = p_d * prior.weights
     q = likelihood * detection_weight[np.newaxis, :]
@@ -304,6 +305,7 @@ def update(
     denominator = kappa + q.sum(axis=1)
 
     parts = [missed]
+    diff = Z[:, np.newaxis, :] - predicted_z[np.newaxis, :, :]
     innovations = np.einsum("lde,mle->mld", gain, diff)
     for m in range(Z.shape[0]):
         if not np.any(q[m] > 0.0):

@@ -7,6 +7,11 @@ with replacement (counts plus one shared weight), and weighted sampling
 without replacement (exponential-keys selection with inclusion-probability
 weight correction).
 
+``ALGORITHMS`` is the comparison's table of communication rules: for each
+algorithm name it declares the policy a campaign builds, whether its
+transmissions are budgeted, how receivers fuse them and where the rule ranks
+in a paired comparison.  Adding a rule is one entry there.
+
 Each policy produces a ``Transmission`` that the receiver turns back into a
 Gaussian mixture with ``reconstruct``.  ``transmission_cost`` accounts for
 the scalars on the wire, and ``encode_transmission`` / ``decode_transmission``
@@ -17,8 +22,8 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass
-from typing import Iterator
+from dataclasses import dataclass, replace
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -44,6 +49,10 @@ __all__ = [
     "ThresholdPolicy",
     "SampleWithReplacementPolicy",
     "SampleWithoutReplacementPolicy",
+    "Algorithm",
+    "ALGORITHMS",
+    "lookup_algorithm",
+    "fuses_partially",
 ]
 
 
@@ -146,7 +155,6 @@ class SamplingConfig:
     bandwidth: int
     draw_mode: str = "stop_at_B_distinct"
     draws: int | None = None
-    replacement: bool = True
     inclusion_replicates: int = 10_000
 
     def __post_init__(self) -> None:
@@ -270,8 +278,6 @@ def sample_with_replacement(
     vacuous and all of them are sent with exact weights instead (the
     stop-at-B-distinct loop could never terminate).
     """
-    if not config.replacement:
-        raise ValueError("sample_with_replacement needs a replacement=True config")
     probabilities = _sampling_probabilities(gm)
     positive = np.flatnonzero(probabilities > 0.0)
     budget = config.bandwidth
@@ -344,8 +350,6 @@ def sample_without_replacement(
     inclusion probabilities come from a Monte Carlo pre-pass sharing the same
     random stream.
     """
-    if config.replacement:
-        raise ValueError("sample_without_replacement needs a replacement=False config")
     if gm.size == 0:
         raise ValueError("cannot sample from an empty mixture")
     budget = config.bandwidth
@@ -533,10 +537,103 @@ class SampleWithReplacementPolicy:
 
 @dataclass(frozen=True)
 class SampleWithoutReplacementPolicy:
+    """Sampling without replacement with the budget clamped to the mixture size.
+
+    The underlying selection requires B <= J, so a mixture smaller than the
+    budget is sent whole (the B = J identity selection), and an empty mixture
+    sends an empty transmission.
+    """
+
     config: SamplingConfig
     tag: PolicyTag = PolicyTag.SAMPLE_NO_REPLACEMENT
 
     def select(self, gm: GaussianMixture, rng: np.random.Generator | None = None) -> Transmission:
         if rng is None:
             raise ValueError("sampling policies need a random generator")
-        return sample_without_replacement(gm, self.config, rng)
+        if gm.size == 0:
+            return Transmission(
+                policy=PolicyTag.SAMPLE_NO_REPLACEMENT,
+                entries=(),
+                shared_weight=None,
+                dimension=gm.dimension,
+            )
+        config = replace(self.config, bandwidth=min(self.config.bandwidth, gm.size))
+        return sample_without_replacement(gm, config, rng)
+
+
+@dataclass(frozen=True)
+class Algorithm:
+    """One communication rule of the comparison, as a campaign runs it.
+
+    ``build`` makes the rule's policy from the campaign's settings (an object
+    with ``bandwidth``, ``threshold``, ``draw_mode``, ``draws`` and
+    ``inclusion_replicates``); a rule with ``tag=None`` never communicates and
+    builds no policy.  ``budgeted`` rules must never send more than
+    ``bandwidth`` components.  With ``partial_fusion`` receivers fuse through
+    :func:`phdfuse.consensus.partial_fusion`, otherwise through the weighted
+    sum.  ``rank`` orders paired comparisons, best first.
+    """
+
+    tag: PolicyTag | None
+    build: Callable[..., object]
+    rank: int
+    budgeted: bool = False
+    partial_fusion: bool = False
+
+    @property
+    def communicates(self) -> bool:
+        return self.tag is not None
+
+
+ALGORITHMS: dict[str, Algorithm] = {
+    "no_consensus": Algorithm(tag=None, build=lambda settings: None, rank=3),
+    "full": Algorithm(PolicyTag.FULL, lambda settings: FullPolicy(), rank=0),
+    "partial_rank": Algorithm(
+        PolicyTag.RANK,
+        lambda settings: RankPolicy(bandwidth=settings.bandwidth),
+        rank=2,
+        budgeted=True,
+        partial_fusion=True,
+    ),
+    "partial_threshold": Algorithm(
+        PolicyTag.THRESHOLD,
+        lambda settings: ThresholdPolicy(tau=settings.threshold),
+        rank=2,
+        partial_fusion=True,
+    ),
+    "sample_replacement": Algorithm(
+        PolicyTag.SAMPLE_REPLACEMENT,
+        lambda settings: SampleWithReplacementPolicy(
+            SamplingConfig(
+                bandwidth=settings.bandwidth, draw_mode=settings.draw_mode, draws=settings.draws
+            )
+        ),
+        rank=1,
+        budgeted=True,
+    ),
+    "sample_no_replacement": Algorithm(
+        PolicyTag.SAMPLE_NO_REPLACEMENT,
+        lambda settings: SampleWithoutReplacementPolicy(
+            SamplingConfig(
+                bandwidth=settings.bandwidth, inclusion_replicates=settings.inclusion_replicates
+            )
+        ),
+        rank=1,
+        budgeted=True,
+    ),
+}
+
+
+def lookup_algorithm(name: str) -> Algorithm:
+    """The table entry for ``name``; unknown names raise ``ValueError``."""
+    try:
+        return ALGORITHMS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown algorithm {name!r}; expected one of {tuple(ALGORITHMS)}"
+        ) from None
+
+
+def fuses_partially(tag: PolicyTag | None) -> bool:
+    """Whether receivers fuse transmissions made under ``tag`` with partial fusion."""
+    return any(entry.partial_fusion for entry in ALGORITHMS.values() if entry.tag is tag)

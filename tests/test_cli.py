@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import phdfuse.experiment as experiment
 from phdfuse.cli import main
 from phdfuse.scenario import read_measurements, read_truth
 
@@ -114,6 +115,38 @@ def test_compare_writes_pairwise_outputs(tiny_config, tmp_path, capsys):
     assert rows[1][0] == "full_a1" and rows[1][1] == "no_consensus_a0"
     stdout = capsys.readouterr().out
     assert "full_a1 vs no_consensus_a0" in stdout
+
+
+def test_compare_with_failed_runs_writes_outputs_and_exits_1(tmp_path, monkeypatch, capsys):
+    original = experiment._single_run
+
+    def flaky(scenario, config, run_index):
+        if (config.algorithm, run_index) in (("full", 1), ("no_consensus", 2)):
+            raise ArithmeticError("synthetic numerical failure")
+        return original(scenario, config, run_index)
+
+    monkeypatch.setattr(experiment, "_single_run", flaky)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"mc_runs": 4, "scenario_overrides": {"horizon": 2}}))
+    out = tmp_path / "out"
+    code = main(
+        [
+            "compare",
+            "--config",
+            str(config),
+            "--algorithms",
+            "full,no_consensus",
+            "--alphas",
+            "1",
+            "--output-dir",
+            str(out),
+        ]
+    )
+    assert code == 1
+    with open(out / "comparison.csv", newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert len(rows) == 2 and rows[1][:2] == ["full_a1", "no_consensus_a0"]
+    assert "2 runs failed" in capsys.readouterr().out
 
 
 def test_simulate_writes_replayable_files(tiny_config, tmp_path):

@@ -1,22 +1,22 @@
 """Campaign-harness tests: determinism, pairing, CSV schemas, config loading."""
 
 import csv
+import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import phdfuse.experiment as experiment
 from phdfuse.experiment import (
-    ALGORITHMS,
-    AdaptiveWithoutReplacementPolicy,
+    BudgetExceeded,
     CSV_SCHEMA_VERSION,
     ExperimentConfig,
     ExperimentResult,
     ROW_HEADER,
     RunRecord,
     StepRow,
-    _build_policy,
     compare_algorithms,
     load_experiment_config,
     run_experiment,
@@ -29,10 +29,12 @@ from phdfuse.experiment import (
 from phdfuse.gaussian import GaussianMixture
 from phdfuse.phd import PhdConfig
 from phdfuse.policies import (
+    ALGORITHMS,
     FullPolicy,
     PolicyTag,
     RankPolicy,
     SampleWithReplacementPolicy,
+    SampleWithoutReplacementPolicy,
     ThresholdPolicy,
 )
 from phdfuse.scenario import Region, ScenarioConfig
@@ -84,26 +86,25 @@ class TestConfig:
         assert silent.rounds == 0
 
     def test_policy_mapping(self):
-        assert _build_policy(ExperimentConfig(algorithm="no_consensus", alpha=0)) is None
-        assert isinstance(
-            _build_policy(ExperimentConfig(algorithm="full", alpha=1)), FullPolicy
-        )
-        rank = _build_policy(ExperimentConfig(algorithm="partial_rank", alpha=1, bandwidth=3))
+        def build(algorithm, **kwargs):
+            config = ExperimentConfig(algorithm=algorithm, alpha=1, **kwargs)
+            return ALGORITHMS[algorithm].build(config)
+
+        assert build("no_consensus") is None
+        assert isinstance(build("full"), FullPolicy)
+        rank = build("partial_rank", bandwidth=3)
         assert isinstance(rank, RankPolicy) and rank.bandwidth == 3
-        thresh = _build_policy(
-            ExperimentConfig(algorithm="partial_threshold", alpha=1, threshold=0.2)
-        )
+        thresh = build("partial_threshold", threshold=0.2)
         assert isinstance(thresh, ThresholdPolicy) and thresh.tau == 0.2
-        sampler = _build_policy(
-            ExperimentConfig(algorithm="sample_replacement", alpha=1, bandwidth=4)
-        )
+        sampler = build("sample_replacement", bandwidth=4, draw_mode="fixed_draws", draws=4)
         assert isinstance(sampler, SampleWithReplacementPolicy)
-        assert sampler.config.bandwidth == 4 and sampler.config.replacement
-        adaptive = _build_policy(
-            ExperimentConfig(algorithm="sample_no_replacement", alpha=1, bandwidth=4)
-        )
-        assert isinstance(adaptive, AdaptiveWithoutReplacementPolicy)
-        assert adaptive.bandwidth == 4
+        assert sampler.config.bandwidth == 4 and sampler.config.draws == 4
+        adaptive = build("sample_no_replacement", bandwidth=4, inclusion_replicates=50)
+        assert isinstance(adaptive, SampleWithoutReplacementPolicy)
+        assert adaptive.config.bandwidth == 4 and adaptive.config.inclusion_replicates == 50
+        for name, rule in ALGORITHMS.items():
+            policy = build(name)
+            assert (policy.tag if policy is not None else None) is rule.tag
 
     def test_algorithm_list_is_closed(self):
         assert set(ALGORITHMS) == {
@@ -117,15 +118,24 @@ class TestConfig:
 
 
 class TestAdaptivePolicy:
+    """Sampling without replacement as campaigns build it."""
+
+    def policy(self, inclusion_replicates):
+        config = ExperimentConfig(
+            algorithm="sample_no_replacement",
+            alpha=1,
+            bandwidth=5,
+            inclusion_replicates=inclusion_replicates,
+        )
+        return ALGORITHMS[config.algorithm].build(config)
+
     def test_empty_mixture(self):
-        policy = AdaptiveWithoutReplacementPolicy(bandwidth=5, inclusion_replicates=100)
-        tx = policy.select(GaussianMixture.empty(4), np.random.default_rng(0))
+        tx = self.policy(100).select(GaussianMixture.empty(4), np.random.default_rng(0))
         assert len(tx) == 0 and tx.policy is PolicyTag.SAMPLE_NO_REPLACEMENT
 
     def test_small_mixture_sent_whole(self, rng):
         gm = random_mixture(rng, dim=2, min_components=3, max_components=3)
-        policy = AdaptiveWithoutReplacementPolicy(bandwidth=5, inclusion_replicates=100)
-        tx = policy.select(gm, rng)
+        tx = self.policy(100).select(gm, rng)
         assert len(tx) == 3
         np.testing.assert_array_equal(
             np.array([entry.weight for entry in tx]), gm.weights
@@ -133,8 +143,7 @@ class TestAdaptivePolicy:
 
     def test_large_mixture_clamped_to_budget(self, rng):
         gm = random_mixture(rng, dim=2, min_components=8, max_components=8)
-        policy = AdaptiveWithoutReplacementPolicy(bandwidth=5, inclusion_replicates=500)
-        assert len(policy.select(gm, rng)) == 5
+        assert len(self.policy(500).select(gm, rng)) == 5
 
 
 class TestRunExperiment:
@@ -230,6 +239,40 @@ class TestRunExperiment:
         assert len(result.successful) == 2
         assert np.isfinite(result.ospa_mean)
 
+    def test_budget_overrun_aborts_the_campaign(self, monkeypatch):
+        class Overrun:
+            tag = PolicyTag.RANK
+
+            def select(self, gm, rng=None):
+                return FullPolicy().select(gm)
+
+        rule = replace(ALGORITHMS["partial_rank"], build=lambda settings: Overrun())
+        monkeypatch.setitem(ALGORITHMS, "partial_rank", rule)
+        config = tiny_config(algorithm="partial_rank", alpha=1, horizon=2, bandwidth=1)
+        with pytest.raises(BudgetExceeded, match="against a budget of 1"):
+            run_experiment(config)
+
+    # SHA-256 of repr(result.records) for 2 runs, alpha=2, a 15-step horizon
+    # and master seed 3.  Any change to a campaign's numbers changes these;
+    # update them only for a change that is meant to move results.  A
+    # different numpy or BLAS build may also move the last bits.
+    GOLDEN = {
+        "no_consensus": "516c036c7fca364830b636045cff9c77d8b2705d062d9ced6c6cee96a83f7f7d",
+        "full": "5cc5a100bb62dec266bf3bb13b7b1d35695130df5f30f234d13f1743273a5d44",
+        "partial_rank": "5b02327ffb0237443a1109c84283dbb487d50fc67bfbad97847266dbf9a06282",
+        "partial_threshold": "431643ee46533d24523bb38656778d2d37b07bd3af94772f93e2922275822e9d",
+        "sample_replacement": "78c6213417f58d6a03c5939b0d57aedc1f1e33d255f2a7854d98556ebbce0c1a",
+        # Run 0 fails with the estimated inclusion probability of 0.
+        "sample_no_replacement": "436d3e96a157c259c5035c94c9d8dd91b360e0365c16df33625844ac9a28606d",
+    }
+
+    @pytest.mark.parametrize("algorithm", sorted(GOLDEN))
+    def test_golden_digest(self, algorithm):
+        config = tiny_config(algorithm=algorithm, alpha=2, horizon=15, mc_runs=2, master_seed=3)
+        records = run_experiment(config).records
+        digest = hashlib.sha256(repr(records).encode()).hexdigest()
+        assert digest == self.GOLDEN[algorithm]
+
 
 class TestResultStatistics:
     def test_run_series_and_moments(self):
@@ -314,18 +357,27 @@ class TestCompareAlgorithms:
         with pytest.raises(ValueError, match="must share"):
             compare_algorithms([a.config, b.config], results=[a, b])
 
-    def test_unequal_successful_runs_rejected(self):
-        a = synthetic_result("full", 6, [1.0, 2.0])
-        b_config = ExperimentConfig(algorithm="no_consensus", alpha=0, mc_runs=2)
-        b = ExperimentResult(
-            config=b_config,
-            records=(
-                RunRecord(run=0, time_averaged_network_ospa=2.0),
-                RunRecord(run=1, error="ValueError: lost"),
-            ),
-        )
-        with pytest.raises(ValueError, match="equal successful run counts"):
-            compare_algorithms([a.config, b_config], results=[a, b])
+    def test_pairs_by_run_index_over_runs_both_completed(self):
+        def result(algorithm, alpha, values):
+            config = ExperimentConfig(algorithm=algorithm, alpha=alpha, mc_runs=len(values))
+            records = tuple(
+                RunRecord(run=i, error="ArithmeticError: x")
+                if v is None
+                else RunRecord(run=i, time_averaged_network_ospa=v)
+                for i, v in enumerate(values)
+            )
+            return ExperimentResult(config=config, records=records)
+
+        a = result("full", 6, [1.0, None, 2.0, 9.0, 3.0])
+        b = result("no_consensus", 0, [2.0, 5.0, 4.0, None, 3.0])
+        pair = compare_algorithms([a.config, b.config], results=[a, b]).pairs[0]
+        # Runs 0, 2 and 4: differences 1, 2 and 0.
+        assert pair.mean_a == 2.0 and pair.mean_b == 3.0
+        assert pair.mean_diff == 1.0
+        assert pair.se_diff == pytest.approx(1.0 / np.sqrt(3.0), rel=1e-12)
+        lost = result("no_consensus", 0, [None, None, None, None, None])
+        empty = compare_algorithms([a.config, lost.config], results=[a, lost]).pairs[0]
+        assert np.isnan(empty.mean_diff) and np.isnan(empty.se_diff)
 
     def test_result_count_must_match(self):
         a = synthetic_result("full", 6, [1.0])

@@ -5,7 +5,6 @@ import pytest
 from scipy.stats import norm
 
 from phdfuse.gaussian import (
-    GaussianComponent,
     GaussianMixture,
     cap,
     coalesce_duplicates,
@@ -51,12 +50,6 @@ def quadrature_inner_product(f: GaussianMixture, g: GaussianMixture) -> float:
 
 
 class TestValidation:
-    def test_component_rejects_bad_shapes(self):
-        with pytest.raises(ValueError, match="1-d"):
-            GaussianComponent(1.0, np.zeros((2, 2)), np.eye(2))
-        with pytest.raises(ValueError, match="covariance shape"):
-            GaussianComponent(1.0, np.zeros(2), np.eye(3))
-
     def test_mixture_rejects_negative_weight(self):
         with pytest.raises(ValueError, match="non-negative"):
             single_gaussian(-0.5, [0.0], [[1.0]])
@@ -88,20 +81,6 @@ class TestValidation:
             gm.weights[0] = 2.0
         with pytest.raises(ValueError):
             gm.means[0, 0] = 1.0
-
-    def test_from_components_round_trip(self):
-        components = [
-            GaussianComponent(0.5, np.array([1.0, 2.0]), np.eye(2)),
-            GaussianComponent(1.5, np.array([-1.0, 0.0]), 2.0 * np.eye(2)),
-        ]
-        gm = GaussianMixture.from_components(components)
-        assert gm.size == 2
-        back = list(gm)
-        assert back[0].weight == 0.5
-        assert np.array_equal(back[1].mean, np.array([-1.0, 0.0]))
-        with pytest.raises(ValueError, match="dimension"):
-            GaussianMixture.from_components([])
-        assert GaussianMixture.from_components([], dimension=4).dimension == 4
 
 
 class TestEvaluate:

@@ -8,8 +8,6 @@ import pytest
 
 from phdfuse.metrics import (
     OspaConfig,
-    cardinality_error,
-    network_ospa,
     ospa,
     time_averaged_network_ospa,
 )
@@ -154,20 +152,7 @@ class TestOspaBruteForce:
 
 
 class TestAggregation:
-    def test_network_mean(self):
-        truth = np.array([[0.0, 0.0]])
-        perfect = np.array([[0.0, 0.0]])
-        missing = np.empty((0, 2))
-        value = network_ospa([perfect, missing], truth)
-        assert value == pytest.approx(50.0, rel=1e-12)  # mean of 0 and 100
-        with pytest.raises(ValueError, match="at least one sensor"):
-            network_ospa([], truth)
-
     def test_time_average(self):
         assert time_averaged_network_ospa([1.0, 2.0, 3.0]) == pytest.approx(2.0)
         with pytest.raises(ValueError, match="at least one value"):
             time_averaged_network_ospa([])
-
-    def test_cardinality_error_signed(self):
-        errors = cardinality_error([5.5, 7.0, 6.0], true_count=6)
-        np.testing.assert_allclose(errors, [-0.5, 1.0, 0.0], rtol=1e-12)

@@ -191,11 +191,6 @@ class TestSampleWithReplacement:
         np.testing.assert_array_less(np.abs(frequencies - [0.5, 0.25, 0.25]), 4 * se)
 
     def test_config_and_input_validation(self):
-        gm = weights_mixture([1.0, 2.0])
-        with pytest.raises(ValueError, match="replacement=True"):
-            sample_with_replacement(
-                gm, SamplingConfig(bandwidth=1, replacement=False), np.random.default_rng(0)
-            )
         with pytest.raises(ValueError, match="empty"):
             sample_with_replacement(
                 GaussianMixture.empty(2), SamplingConfig(bandwidth=1), np.random.default_rng(0)
@@ -217,7 +212,7 @@ class TestSampleWithReplacement:
 
 
 class TestSampleWithoutReplacement:
-    CONFIG = SamplingConfig(bandwidth=2, replacement=False, inclusion_replicates=2000)
+    CONFIG = SamplingConfig(bandwidth=2, inclusion_replicates=2000)
 
     def test_selects_distinct_components(self):
         gm = weights_mixture([1.0, 2.0, 3.0, 4.0])
@@ -231,7 +226,7 @@ class TestSampleWithoutReplacement:
 
     def test_full_budget_is_identity(self):
         gm = weights_mixture([1.0, 2.0, 3.0])
-        config = SamplingConfig(bandwidth=3, replacement=False)
+        config = SamplingConfig(bandwidth=3)
         back = reconstruct(sample_without_replacement(gm, config, np.random.default_rng(0)))
         np.testing.assert_array_equal(back.weights, gm.weights)
         np.testing.assert_array_equal(back.means, gm.means)
@@ -241,20 +236,18 @@ class TestSampleWithoutReplacement:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="exceeds the component count"):
             sample_without_replacement(
-                gm, SamplingConfig(bandwidth=4, replacement=False), rng
+                gm, SamplingConfig(bandwidth=4), rng
             )
         with pytest.raises(ValueError, match="strictly positive"):
             sample_without_replacement(
                 weights_mixture([0.0, 1.0, 2.0]),
-                SamplingConfig(bandwidth=2, replacement=False),
+                SamplingConfig(bandwidth=2),
                 rng,
             )
-        with pytest.raises(ValueError, match="replacement=False"):
-            sample_without_replacement(gm, SamplingConfig(bandwidth=2), rng)
         with pytest.raises(ValueError, match="empty"):
             sample_without_replacement(
                 GaussianMixture.empty(2),
-                SamplingConfig(bandwidth=1, replacement=False),
+                SamplingConfig(bandwidth=1),
                 rng,
             )
 
@@ -384,7 +377,7 @@ class TestPolicyObjects:
         assert with_r.tag is PolicyTag.SAMPLE_REPLACEMENT
         assert len(with_r.select(gm, rng)) <= 2
         without = SampleWithoutReplacementPolicy(
-            SamplingConfig(bandwidth=2, replacement=False, inclusion_replicates=100)
+            SamplingConfig(bandwidth=2, inclusion_replicates=100)
         )
         assert without.tag is PolicyTag.SAMPLE_NO_REPLACEMENT
         assert len(without.select(gm, rng)) == 2
@@ -395,5 +388,5 @@ class TestPolicyObjects:
             SampleWithReplacementPolicy(SamplingConfig(bandwidth=2)).select(gm)
         with pytest.raises(ValueError, match="random generator"):
             SampleWithoutReplacementPolicy(
-                SamplingConfig(bandwidth=2, replacement=False)
+                SamplingConfig(bandwidth=2)
             ).select(gm)
