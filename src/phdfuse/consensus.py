@@ -19,7 +19,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .gaussian import GaussianMixture, coalesce_duplicates, l2_distance, mixture_sum, scale
+from .gaussian import (
+    GaussianMixture,
+    _pairwise_mahalanobis2,
+    coalesce_duplicates,
+    l2_distance,
+    mixture_sum,
+    scale,
+)
 from .phd import PhdConfig, reduce_mixture
 from .policies import Transmission, fuses_partially, reconstruct
 from .streams import substream
@@ -269,9 +276,7 @@ def partial_fusion(
         if count == 0:
             assign = np.full(mixture.size, -1)
         else:
-            diff = own.means[np.newaxis, :, :] - mixture.means[:, np.newaxis, :]
-            solved = np.linalg.solve(mixture.covariances, diff.transpose(0, 2, 1))
-            dist2 = np.einsum("rnd,rdn->rn", diff, solved)
+            dist2 = _pairwise_mahalanobis2(mixture.means, mixture.covariances, own.means)
             assign = np.argmin(dist2, axis=1)
             assign[dist2[np.arange(mixture.size), assign] > match_threshold] = -1
         reported = np.zeros(count, dtype=bool)

@@ -359,7 +359,8 @@ def _paired(a: ExperimentResult, b: ExperimentResult) -> PairedComparison:
     series_b = np.array([ospa_b[run] for run in runs])
     diff = series_b - series_a
     mean_diff = float(diff.mean())
-    se = float(diff.std(ddof=1) / np.sqrt(diff.size)) if diff.size > 1 else 0.0
+    # One pair has no spread to estimate: NaN, so ``separated`` is False.
+    se = float(diff.std(ddof=1) / np.sqrt(diff.size)) if diff.size > 1 else float("nan")
     return PairedComparison(
         label_a=a.config.label,
         label_b=b.config.label,

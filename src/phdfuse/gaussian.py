@@ -76,6 +76,28 @@ class GaussianMixture:
     dimension: int = field(default=-1)
 
     def __post_init__(self) -> None:
+        self._validate(check_covariances=True)
+
+    @classmethod
+    def _with_checked_covariances(
+        cls, weights: np.ndarray, means: np.ndarray, covariances: np.ndarray, dimension: int
+    ) -> "GaussianMixture":
+        """Build a mixture without re-running ``_check_covariances``.
+
+        Only for a covariance stack that is, bitwise, a subset, repeat or
+        concatenation of stacks that already passed that check (each matrix is
+        checked on its own, so such a stack passes it again).  Shapes, weights,
+        means and finiteness are still checked.
+        """
+        gm = object.__new__(cls)
+        object.__setattr__(gm, "weights", weights)
+        object.__setattr__(gm, "means", means)
+        object.__setattr__(gm, "covariances", covariances)
+        object.__setattr__(gm, "dimension", dimension)
+        gm._validate(check_covariances=False)
+        return gm
+
+    def _validate(self, check_covariances: bool) -> None:
         weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
         means = np.asarray(self.means, dtype=float)
         covariances = np.asarray(self.covariances, dtype=float)
@@ -101,7 +123,7 @@ class GaussianMixture:
             raise ValueError("means must be finite")
         if not np.all(np.isfinite(covariances)):
             raise ValueError("covariances must be finite")
-        if count:
+        if count and check_covariances:
             _check_covariances(covariances)
         object.__setattr__(self, "weights", _as_readonly(weights))
         object.__setattr__(self, "means", _as_readonly(means))
@@ -179,6 +201,29 @@ def _pairwise_cross_density(f: GaussianMixture, g: GaussianMixture) -> np.ndarra
     return np.exp(-0.5 * (quad + logdet + dim * np.log(2.0 * np.pi)))
 
 
+_ROW_BLOCK = 32
+
+
+def _pairwise_mahalanobis2(
+    centres: np.ndarray, covariances: np.ndarray, points: np.ndarray
+) -> np.ndarray:
+    """Squared Mahalanobis distances as a ``(J, I)`` array: entry ``[j, i]`` is
+    ``(points[i] - centres[j])^T covariances[j]^{-1} (points[i] - centres[j])``,
+    each row in the metric of its own centre.
+
+    Each covariance is inverted once, and rows are filled in blocks of
+    ``_ROW_BLOCK`` so the temporaries stay ``O(_ROW_BLOCK * I * d)`` rather
+    than ``O(J * I * d)``.
+    """
+    inverses = np.linalg.inv(covariances)
+    out = np.empty((centres.shape[0], points.shape[0]))
+    for start in range(0, centres.shape[0], _ROW_BLOCK):
+        stop = start + _ROW_BLOCK
+        diff = points[np.newaxis, :, :] - centres[start:stop, np.newaxis, :]
+        out[start:stop] = np.einsum("bid,bid->bi", diff @ inverses[start:stop], diff)
+    return out
+
+
 def symmetrize(matrices: np.ndarray) -> np.ndarray:
     """Average a matrix (or stack of matrices) with its transpose."""
     return 0.5 * (matrices + np.swapaxes(matrices, -1, -2))
@@ -197,11 +242,11 @@ def mixture_sum(mixtures: Sequence[GaussianMixture]) -> GaussianMixture:
         return GaussianMixture.empty(dim)
     if len(parts) == 1:
         return parts[0]
-    return GaussianMixture(
-        weights=np.concatenate([gm.weights for gm in parts]),
-        means=np.concatenate([gm.means for gm in parts]),
-        covariances=np.concatenate([gm.covariances for gm in parts]),
-        dimension=dim,
+    return GaussianMixture._with_checked_covariances(
+        np.concatenate([gm.weights for gm in parts]),
+        np.concatenate([gm.means for gm in parts]),
+        np.concatenate([gm.covariances for gm in parts]),
+        dim,
     )
 
 
@@ -212,11 +257,15 @@ def scale(gm: GaussianMixture, factor: float) -> GaussianMixture:
         raise ValueError(f"scale factor must be non-negative, got {factor}")
     if gm.size == 0:
         return gm
-    return GaussianMixture(
-        weights=gm.weights * factor,
-        means=gm.means,
-        covariances=gm.covariances,
-        dimension=gm.dimension,
+    return GaussianMixture._with_checked_covariances(
+        gm.weights * factor, gm.means, gm.covariances, gm.dimension
+    )
+
+
+def _subset(gm: GaussianMixture, index: np.ndarray) -> GaussianMixture:
+    """The components of ``gm`` selected by a boolean mask or index array."""
+    return GaussianMixture._with_checked_covariances(
+        gm.weights[index], gm.means[index], gm.covariances[index], gm.dimension
     )
 
 
@@ -227,41 +276,51 @@ def prune(gm: GaussianMixture, threshold: float) -> GaussianMixture:
     keep = gm.weights >= threshold
     if np.all(keep):
         return gm
-    return GaussianMixture(
-        weights=gm.weights[keep],
-        means=gm.means[keep],
-        covariances=gm.covariances[keep],
-        dimension=gm.dimension,
-    )
+    return _subset(gm, keep)
 
 
 def merge(gm: GaussianMixture, merge_threshold: float) -> GaussianMixture:
     """Greedily fuse components closer than ``merge_threshold``.
 
-    Repeatedly takes the highest-weight unmerged component, gathers every
-    unmerged component whose squared Mahalanobis distance to it — measured in
-    the metric of that component's *own* covariance — is at most
-    ``merge_threshold``, and replaces the group by its moment-matched single
-    Gaussian.  Measuring each candidate in its own metric means a diffuse
-    low-weight component near a sharp dominant one is absorbed (instead of
-    lingering and compounding), while a sharp neighbour a few of its own
-    standard deviations away survives.  Total weight is preserved exactly up
-    to floating-point summation.
+    Repeatedly takes the highest-weight unmerged component (the earliest one
+    among equal weights), gathers every unmerged component whose squared
+    Mahalanobis distance to it — measured in the metric of that component's
+    *own* covariance — is at most ``merge_threshold``, and replaces the group
+    by its moment-matched single Gaussian.  Measuring each candidate in its
+    own metric means a diffuse low-weight component near a sharp dominant one
+    is absorbed (instead of lingering and compounding), while a sharp
+    neighbour a few of its own standard deviations away survives.  Total
+    weight is preserved exactly up to floating-point summation.
     """
+    if not merge_threshold >= 0.0:
+        raise ValueError(f"merge_threshold must be non-negative, got {merge_threshold}")
     if gm.size <= 1:
         return gm
     weights, means, covs = gm.weights, gm.means, gm.covariances
+    # close[lead, j]: component j lies within the threshold of lead, in j's metric.
+    close = _pairwise_mahalanobis2(means, covs, means).T <= merge_threshold
+    # A lead always joins its own group, as with ``solve``, even if its
+    # inverse overflowed and made its own distance NaN.
+    np.fill_diagonal(close, True)
     alive = np.ones(gm.size, dtype=bool)
-    out_w: list[float] = []
-    out_m: list[np.ndarray] = []
-    out_p: list[np.ndarray] = []
-    while np.any(alive):
-        candidates = np.flatnonzero(alive)
-        lead = candidates[np.argmax(weights[candidates])]
-        diff = means[candidates] - means[lead]
-        solved = np.linalg.solve(covs[candidates], diff[:, :, np.newaxis])
-        dist2 = np.einsum("nd,nd->n", diff, solved[:, :, 0])
-        group = candidates[dist2 <= merge_threshold]
+    leads: list[int] = []
+    groups: list[np.ndarray] = []
+    for lead in np.argsort(-weights, kind="stable").tolist():
+        if alive[lead]:
+            group = np.flatnonzero(close[lead] & alive)
+            alive[group] = False
+            leads.append(lead)
+            groups.append(group)
+    out_w = np.empty(len(groups))
+    out_m = np.empty((len(groups), gm.dimension))
+    out_p = np.empty((len(groups), gm.dimension, gm.dimension))
+    single = np.array([group.size == 1 for group in groups])
+    members = np.array(leads)[single]
+    out_w[single], out_m[single], out_p[single] = _moment_match_singletons(
+        weights[members], means[members], covs[members]
+    )
+    for slot in np.flatnonzero(~single).tolist():
+        group = groups[slot]
         group_w = weights[group]
         total = float(np.sum(group_w))
         if total > 0.0:
@@ -277,18 +336,37 @@ def merge(gm: GaussianMixture, merge_threshold: float) -> GaussianMixture:
             )
         else:
             # A group of zero-weight components collapses onto its lead.
-            mean = means[lead].copy()
-            cov = covs[lead].copy()
-        out_w.append(total)
-        out_m.append(mean)
-        out_p.append(symmetrize(cov))
-        alive[group] = False
-    return GaussianMixture(
-        weights=np.array(out_w),
-        means=np.stack(out_m),
-        covariances=np.stack(out_p),
-        dimension=gm.dimension,
-    )
+            lead = leads[slot]
+            mean = means[lead]
+            cov = covs[lead]
+        out_w[slot] = total
+        out_m[slot] = mean
+        out_p[slot] = symmetrize(cov)
+    return GaussianMixture(out_w, out_m, out_p, dimension=gm.dimension)
+
+
+def _moment_match_singletons(
+    weights: np.ndarray, means: np.ndarray, covs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What :func:`merge`'s per-group arithmetic gives each one-member group,
+    bit for bit, for many groups at once.
+
+    For weight ``w > 0`` that arithmetic is ``mean = (w m) / w`` and
+    ``cov = (w (P + s s^T)) / w`` with ``s = m - mean``, which need not round
+    back to ``m`` and ``P``; a zero weight keeps ``m`` and ``P``.  Each
+    ``+ 0.0`` reproduces the sign of zero of a one-term sum or dot product.
+    """
+    positive = weights > 0.0
+    divisor = np.where(positive, weights, 1.0)[:, np.newaxis]
+    mean = (weights[:, np.newaxis] * means + 0.0) / divisor
+    spread = means - mean
+    cov = (
+        weights[:, np.newaxis, np.newaxis]
+        * (covs + spread[:, :, np.newaxis] * spread[:, np.newaxis, :])
+    ) / divisor[:, :, np.newaxis]
+    mean = np.where(positive[:, np.newaxis], mean, means)
+    cov = np.where(positive[:, np.newaxis, np.newaxis], cov, covs)
+    return weights + 0.0, mean, symmetrize(cov)
 
 
 def cap(gm: GaussianMixture, max_components: int) -> GaussianMixture:
@@ -299,13 +377,7 @@ def cap(gm: GaussianMixture, max_components: int) -> GaussianMixture:
     if gm.size <= max_components:
         return gm
     order = np.argsort(-gm.weights, kind="stable")
-    keep = np.sort(order[:max_components])
-    return GaussianMixture(
-        weights=gm.weights[keep],
-        means=gm.means[keep],
-        covariances=gm.covariances[keep],
-        dimension=gm.dimension,
-    )
+    return _subset(gm, np.sort(order[:max_components]))
 
 
 def coalesce_duplicates(gm: GaussianMixture) -> GaussianMixture:
@@ -315,30 +387,30 @@ def coalesce_duplicates(gm: GaussianMixture) -> GaussianMixture:
     without exact deduplication the component count would grow geometrically
     with the number of rounds even though the set of distinct Gaussians never
     changes.  First occurrence order is preserved and weights within a group
-    are accumulated in component order.
+    are accumulated in component order, starting from the first occurrence.
     """
     if gm.size <= 1:
         return gm
-    groups: dict[bytes, int] = {}
-    first: list[int] = []
-    sums: list[float] = []
-    for l in range(gm.size):
-        key = gm.means[l].tobytes() + gm.covariances[l].tobytes()
-        slot = groups.get(key)
-        if slot is None:
-            groups[key] = len(first)
-            first.append(l)
-            sums.append(float(gm.weights[l]))
-        else:
-            sums[slot] += float(gm.weights[l])
-    if len(first) == gm.size:
+    rows = np.concatenate([gm.means, gm.covariances.reshape(gm.size, -1)], axis=1)
+    # Key each component by its bytes, so that -0.0 and 0.0 stay distinct.
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    starts = np.ones(gm.size, dtype=bool)
+    starts[1:] = ordered[1:] != ordered[:-1]
+    if np.all(starts):
         return gm
-    index = np.array(first)
-    return GaussianMixture(
-        weights=np.array(sums),
-        means=gm.means[index],
-        covariances=gm.covariances[index],
-        dimension=gm.dimension,
+    # The sort is stable, so each run of equal keys starts at its first occurrence.
+    key_of = np.empty(gm.size, dtype=np.intp)
+    key_of[order] = np.cumsum(starts) - 1
+    first_of = order[starts][key_of]
+    is_first = first_of == np.arange(gm.size)
+    first = np.flatnonzero(is_first)
+    slot = (np.cumsum(is_first) - 1)[first_of]
+    sums = gm.weights[first].copy()
+    np.add.at(sums, slot[~is_first], gm.weights[~is_first])
+    return GaussianMixture._with_checked_covariances(
+        sums, gm.means[first], gm.covariances[first], gm.dimension
     )
 
 

@@ -270,11 +270,8 @@ def update(
     p_d = np.asarray(sensor.detection_probability(prior.means), dtype=float)
     if p_d.shape != (prior.size,):
         raise ValueError("detection_probability must return one value per state")
-    missed = GaussianMixture(
-        weights=prior.weights * (1.0 - p_d),
-        means=prior.means,
-        covariances=prior.covariances,
-        dimension=prior.dimension,
+    missed = GaussianMixture._with_checked_covariances(
+        prior.weights * (1.0 - p_d), prior.means, prior.covariances, prior.dimension
     )
     if Z.shape[0] == 0:
         return missed
@@ -307,19 +304,15 @@ def update(
     parts = [missed]
     diff = Z[:, np.newaxis, :] - predicted_z[np.newaxis, :, :]
     innovations = np.einsum("lde,mle->mld", gain, diff)
+    # Every block shares updated_cov, so only the first kept block checks it.
+    build = GaussianMixture
     for m in range(Z.shape[0]):
         if not np.any(q[m] > 0.0):
             continue
         if denominator[m] <= 0.0:
             raise ZeroDivisionError("zero normaliser with nonzero detection weights")
-        parts.append(
-            GaussianMixture(
-                weights=q[m] / denominator[m],
-                means=prior.means + innovations[m],
-                covariances=updated_cov,
-                dimension=dim_x,
-            )
-        )
+        parts.append(build(q[m] / denominator[m], prior.means + innovations[m], updated_cov, dim_x))
+        build = GaussianMixture._with_checked_covariances
     return mixture_sum(parts)
 
 

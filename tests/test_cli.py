@@ -113,6 +113,10 @@ def test_compare_writes_pairwise_outputs(tiny_config, tmp_path, capsys):
         rows = list(csv.reader(handle))
     assert len(rows) == 2
     assert rows[1][0] == "full_a1" and rows[1][1] == "no_consensus_a0"
+    # One paired run: no standard error, so no interval and never separated.
+    fields = dict(zip(rows[0], rows[1]))
+    assert [fields[k] for k in ("se_diff", "ci_low", "ci_high")] == ["nan"] * 3
+    assert fields["separated"] == "0"
     stdout = capsys.readouterr().out
     assert "full_a1 vs no_consensus_a0" in stdout
 

@@ -13,7 +13,7 @@ from phdfuse.consensus import (
     validate_weights,
     waa,
 )
-from phdfuse.gaussian import GaussianMixture, l2_distance
+from phdfuse.gaussian import GaussianMixture, coalesce_duplicates, l2_distance
 from phdfuse.phd import PhdConfig
 from phdfuse.policies import FullPolicy, RankPolicy, SampleWithReplacementPolicy, SamplingConfig
 from conftest import random_mixture, single_gaussian
@@ -239,6 +239,97 @@ class TestPartialFusion:
         unchanged = partial_fusion(own, [(0.5, GaussianMixture.empty(2))], 0.5, 15.0)
         np.testing.assert_array_equal(unchanged.means, own.means)
         np.testing.assert_array_equal(unchanged.weights, own.weights)
+
+
+def reference_partial_fusion(own, received, self_weight, match_threshold):
+    """partial_fusion as first written: one batched ``solve`` per received
+    mixture for the matching distances, then the same fusion arithmetic."""
+    dim = own.dimension
+    count = own.size
+    mass = self_weight * own.weights
+    coeff = np.full(count, self_weight)
+    matched: list[list[tuple[float, np.ndarray, np.ndarray]]] = [[] for _ in range(count)]
+    extra_weights: list[float] = []
+    extra_means: list[np.ndarray] = []
+    extra_covs: list[np.ndarray] = []
+    for link_weight, mixture in received:
+        if mixture.size == 0:
+            continue
+        if count == 0:
+            assign = np.full(mixture.size, -1)
+        else:
+            diff = own.means[np.newaxis, :, :] - mixture.means[:, np.newaxis, :]
+            solved = np.linalg.solve(mixture.covariances, diff.transpose(0, 2, 1))
+            dist2 = np.einsum("rnd,rdn->rn", diff, solved)
+            assign = np.argmin(dist2, axis=1)
+            assign[dist2[np.arange(mixture.size), assign] > match_threshold] = -1
+        reported = np.zeros(count, dtype=bool)
+        for r in range(mixture.size):
+            target = int(assign[r])
+            if target < 0:
+                extra_weights.append(link_weight * float(mixture.weights[r]))
+                extra_means.append(mixture.means[r])
+                extra_covs.append(mixture.covariances[r])
+            else:
+                share = link_weight * float(mixture.weights[r])
+                mass[target] += share
+                matched[target].append((share, mixture.means[r], mixture.covariances[r]))
+                reported[target] = True
+        coeff[reported] += link_weight
+    weights = np.divide(mass, coeff, out=np.zeros_like(mass), where=coeff > 0.0)
+    means = own.means.copy()
+    covs = own.covariances.copy()
+    for c in range(count):
+        if not matched[c]:
+            continue
+        lams = np.array([self_weight * float(own.weights[c])] + [m[0] for m in matched[c]])
+        total = float(lams.sum())
+        if total <= 0.0:
+            continue
+        lams /= total
+        points = np.vstack([own.means[c : c + 1]] + [m[1].reshape(1, dim) for m in matched[c]])
+        spreads = np.stack([own.covariances[c]] + [m[2] for m in matched[c]])
+        centre = lams @ points
+        delta = points - centre
+        covs[c] = np.einsum("p,pij->ij", lams, spreads) + np.einsum(
+            "p,pi,pj->ij", lams, delta, delta
+        )
+        means[c] = centre
+    if extra_weights:
+        weights = np.concatenate([weights, np.asarray(extra_weights)])
+        means = np.vstack([means, np.vstack(extra_means)])
+        covs = np.concatenate([covs, np.stack(extra_covs)])
+    return coalesce_duplicates(GaussianMixture(weights, means, covs, dimension=dim))
+
+
+def nearby_mixture(rng, own, size):
+    """Components near randomly chosen own components, and a few far away."""
+    dim = own.dimension
+    pick = rng.integers(own.size, size=size)
+    means = own.means[pick] + rng.normal(scale=1.5, size=(size, dim))
+    means[rng.random(size) < 0.2] += 200.0
+    a = rng.standard_normal((size, dim, dim))
+    covariances = a @ np.swapaxes(a, 1, 2) + (0.5 + rng.random(size))[:, None, None] * np.eye(dim)
+    return GaussianMixture(rng.uniform(0.0, 1.0, size), means, covariances, dimension=dim)
+
+
+class TestPartialFusionBitExact:
+    @pytest.mark.parametrize("dim", [1, 2, 4])
+    @pytest.mark.parametrize("size", [2, 31, 32, 33, 65, 260])
+    def test_matches_solve_based_matching(self, size, dim):
+        rng = np.random.default_rng(31 * size + dim)
+        own = random_mixture(rng, dim=dim, min_components=size, max_components=size)
+        received = [
+            (0.25, nearby_mixture(rng, own, size)),
+            (0.125, nearby_mixture(rng, own, max(1, size // 8))),
+            (0.125, GaussianMixture.empty(dim)),
+        ]
+        fused = partial_fusion(own, received, 0.5, 15.0)
+        expected = reference_partial_fusion(own, received, 0.5, 15.0)
+        for name in ("weights", "means", "covariances"):
+            actual, wanted = getattr(fused, name), getattr(expected, name)
+            assert np.array_equal(actual, wanted), name
+            np.testing.assert_array_equal(actual.view(np.uint64), wanted.view(np.uint64))
 
 
 class TestConsensusRound:

@@ -6,6 +6,7 @@ from scipy.stats import norm
 
 from phdfuse.gaussian import (
     GaussianMixture,
+    _pairwise_mahalanobis2,
     cap,
     coalesce_duplicates,
     cs_divergence,
@@ -223,6 +224,13 @@ class TestMerge:
         gm = single_gaussian(1.0, [0.0], [[1.0]])
         assert merge(gm, 15.0) is gm
 
+    def test_rejects_negative_or_nan_threshold(self, rng):
+        # A lead must always fall within its own threshold.
+        gm = random_mixture(rng, min_components=2)
+        for threshold in (-1.0, np.nan):
+            with pytest.raises(ValueError, match="merge_threshold"):
+                merge(gm, threshold)
+
 
 class TestCap:
     def test_keeps_heaviest_in_original_order(self):
@@ -282,6 +290,184 @@ class TestCoalesce:
             assert out.evaluate_at(x) == pytest.approx(
                 2.0 * base.evaluate_at(x), rel=1e-12
             )
+
+
+def reference_merge(gm: GaussianMixture, merge_threshold: float) -> GaussianMixture:
+    """The greedy merge loop as first written: one ``solve`` per lead over
+    every unmerged candidate, and per-group moment matching."""
+    if gm.size <= 1:
+        return gm
+    weights, means, covs = gm.weights, gm.means, gm.covariances
+    alive = np.ones(gm.size, dtype=bool)
+    out_w, out_m, out_p = [], [], []
+    while np.any(alive):
+        candidates = np.flatnonzero(alive)
+        lead = candidates[np.argmax(weights[candidates])]
+        diff = means[candidates] - means[lead]
+        solved = np.linalg.solve(covs[candidates], diff[:, :, np.newaxis])
+        dist2 = np.einsum("nd,nd->n", diff, solved[:, :, 0])
+        group = candidates[dist2 <= merge_threshold]
+        group_w = weights[group]
+        total = float(np.sum(group_w))
+        if total > 0.0:
+            mean = (group_w @ means[group]) / total
+            spread = means[group] - mean
+            cov = (
+                np.sum(
+                    group_w[:, np.newaxis, np.newaxis]
+                    * (covs[group] + spread[:, :, np.newaxis] * spread[:, np.newaxis, :]),
+                    axis=0,
+                )
+                / total
+            )
+        else:
+            mean = means[lead].copy()
+            cov = covs[lead].copy()
+        out_w.append(total)
+        out_m.append(mean)
+        out_p.append(symmetrize(cov))
+        alive[group] = False
+    return GaussianMixture(np.array(out_w), np.stack(out_m), np.stack(out_p), dimension=gm.dimension)
+
+
+def reference_coalesce(gm: GaussianMixture) -> GaussianMixture:
+    """Duplicate coalescing as first written: a dict keyed by each
+    component's bytes, filled in component order."""
+    if gm.size <= 1:
+        return gm
+    groups: dict[bytes, int] = {}
+    first: list[int] = []
+    sums: list[float] = []
+    for l in range(gm.size):
+        key = gm.means[l].tobytes() + gm.covariances[l].tobytes()
+        slot = groups.get(key)
+        if slot is None:
+            groups[key] = len(first)
+            first.append(l)
+            sums.append(float(gm.weights[l]))
+        else:
+            sums[slot] += float(gm.weights[l])
+    if len(first) == gm.size:
+        return gm
+    index = np.array(first)
+    return GaussianMixture(np.array(sums), gm.means[index], gm.covariances[index], dimension=gm.dimension)
+
+
+def assert_bitwise_equal(actual: GaussianMixture, expected: GaussianMixture) -> None:
+    """Equal bit patterns, so that even the sign of a zero must agree."""
+    assert actual.dimension == expected.dimension
+    for name in ("weights", "means", "covariances"):
+        a, b = getattr(actual, name), getattr(expected, name)
+        assert a.shape == b.shape, name
+        assert np.array_equal(a, b), name
+        np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64), err_msg=name)
+
+
+def clustered_mixture(rng: np.random.Generator, size: int, dim: int) -> GaussianMixture:
+    """Components scattered around a few centres, so that merge forms
+    multi-member groups and singletons.  Weights come from a small set, so
+    many tie; some are -0.0; the last cluster is all zero weight; and some
+    mean entries are exactly 0.0 or -0.0."""
+    clusters = max(2, size // 4)
+    centres = rng.uniform(-40.0, 40.0, size=(clusters, dim))
+    label = rng.integers(clusters, size=size)
+    means = centres[label] + rng.normal(scale=2.0, size=(size, dim))
+    zeros = rng.random((size, dim)) < 0.1
+    means[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+    a = rng.standard_normal((size, dim, dim))
+    covariances = a @ np.swapaxes(a, 1, 2) + (0.5 + rng.random(size))[:, None, None] * np.eye(dim)
+    weights = rng.choice([0.0, -0.0, 0.125, 0.5, 0.5, 1.0, rng.random()], size=size)
+    weights[label == clusters - 1] = 0.0
+    return GaussianMixture(weights, means, covariances, dimension=dim)
+
+
+class TestBitExactReduction:
+    """The vectorised reductions against the loops they replaced."""
+
+    SIZES = (2, 31, 32, 33, 65, 260)
+
+    @pytest.mark.parametrize("dim", [1, 2, 4])
+    @pytest.mark.parametrize("size", SIZES)
+    def test_merge_matches_reference_loop(self, size, dim):
+        rng = np.random.default_rng(1000 * size + dim)
+        for threshold in (4.0, 15.0):
+            gm = clustered_mixture(rng, size, dim)
+            assert_bitwise_equal(merge(gm, threshold), reference_merge(gm, threshold))
+
+    def test_merge_ties_and_zero_weight_groups(self):
+        # Equal weights pick the earliest lead; a group whose weights are all
+        # zero (including -0.0) collapses onto its lead's moments.
+        gm = GaussianMixture(
+            weights=np.array([0.5, 0.0, 0.5, -0.0, -0.0, 0.5]),
+            means=np.array([[10.0], [0.0], [10.5], [0.5], [100.0], [-0.0]]),
+            covariances=np.array([[[1.0]], [[2.0]], [[1.0]], [[1.0]], [[3.0]], [[1.0]]]),
+            dimension=1,
+        )
+        merged = merge(gm, 4.0)
+        assert_bitwise_equal(merged, reference_merge(gm, 4.0))
+        assert merged.size == 3
+
+    def test_pair_exactly_at_threshold_merges(self):
+        # 1-d, unit variances, separation 3: squared distance exactly 9.
+        gm = GaussianMixture(
+            weights=np.array([1.0, 0.5]),
+            means=np.array([[0.0], [3.0]]),
+            covariances=np.ones((2, 1, 1)),
+            dimension=1,
+        )
+        assert merge(gm, 9.0).size == 1
+        assert merge(gm, np.nextafter(9.0, 0.0)).size == 2
+        for threshold in (9.0, np.nextafter(9.0, 0.0)):
+            assert_bitwise_equal(merge(gm, threshold), reference_merge(gm, threshold))
+
+    @pytest.mark.parametrize("dim", [1, 2, 4])
+    @pytest.mark.parametrize("size", SIZES)
+    def test_pairwise_kernel_matches_solve(self, size, dim):
+        rng = np.random.default_rng(size + 7 * dim)
+        centres = clustered_mixture(rng, size, dim)
+        points = rng.uniform(-40.0, 40.0, size=(size + 3, dim))
+        dist2 = _pairwise_mahalanobis2(centres.means, centres.covariances, points)
+        diff = points[np.newaxis, :, :] - centres.means[:, np.newaxis, :]
+        solved = np.linalg.solve(centres.covariances, np.swapaxes(diff, 1, 2))
+        expected = np.einsum("jid,jdi->ji", diff, solved)
+        np.testing.assert_allclose(dist2, expected, rtol=1e-10)
+
+    @pytest.mark.parametrize("dim", [1, 2, 4])
+    @pytest.mark.parametrize("size", SIZES)
+    def test_coalesce_matches_reference_loop(self, size, dim):
+        rng = np.random.default_rng(size + 100 * dim)
+        base = clustered_mixture(rng, max(1, size // 3), dim)
+        pick = rng.integers(base.size, size=size)
+        means = base.means[pick]
+        # The last mean differs from the first only in the sign of a zero.
+        means[0, 0] = 0.0
+        means[-1] = means[0]
+        means[-1, 0] = -0.0
+        gm = GaussianMixture(
+            rng.choice([0.0, 0.1, 0.25, 1.0, rng.random()], size=size),
+            means,
+            base.covariances[pick],
+            dimension=dim,
+        )
+        assert_bitwise_equal(coalesce_duplicates(gm), reference_coalesce(gm))
+
+    def test_coalesce_keeps_signed_zeros_apart(self):
+        gm = GaussianMixture(
+            weights=np.array([0.25, 0.5, 0.125]),
+            means=np.array([[0.0], [-0.0], [0.0]]),
+            covariances=np.ones((3, 1, 1)),
+            dimension=1,
+        )
+        out = coalesce_duplicates(gm)
+        assert_bitwise_equal(out, reference_coalesce(gm))
+        assert out.size == 2 and out.weights[0] == 0.375
+
+    def test_internal_paths_still_reject_bad_values(self, rng):
+        gm = random_mixture(rng)
+        with pytest.raises(ValueError, match="finite"):
+            scale(gm, np.inf)
+        with pytest.raises(ValueError, match="finite"):
+            scale(gm, np.nan)
 
 
 class TestL2:

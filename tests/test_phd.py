@@ -217,6 +217,29 @@ class TestUpdate:
             plain.covariances, joseph.covariances, rtol=1e-9, atol=1e-12
         )
 
+    def test_non_positive_definite_update_fails_only_when_a_block_is_kept(self):
+        # With P = 1e40 and R = 1 the gain rounds to exactly 1, so the updated
+        # covariance (1 - K) P is exactly 0.  A measurement 1e22 away has a
+        # likelihood that underflows to 0, so its block is dropped unchecked.
+        prior = single_gaussian(1.0, [0.0], [[1e40]])
+        sensor = SensorModel(
+            H=np.array([[1.0]]),
+            R=np.array([[1.0]]),
+            detection_probability=constant(0.5),
+            clutter_intensity=constant(0.05),
+        )
+        far, near = [1e22], [0.0]
+        missed = update(prior, sensor, np.array([far]))
+        np.testing.assert_array_equal(missed.weights, [0.5])
+        np.testing.assert_array_equal(missed.covariances, prior.covariances)
+        for Z in ([near], [far, near], [near, far]):
+            with pytest.raises(ValueError, match="every covariance must be positive definite"):
+                update(prior, sensor, np.array(Z))
+
+    def test_detection_probability_above_one_is_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            update(self.make_prior(), make_sensor(p_d=1.5), np.empty((0, 1)))
+
     def test_shape_validation(self):
         prior = self.make_prior()
         sensor = make_sensor()
