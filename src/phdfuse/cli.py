@@ -31,7 +31,13 @@ from .experiment import (
     write_summary_csv,
 )
 from .policies import lookup_algorithm
-from .scenario import build_scenario, simulate_measurements, simulate_truth, write_measurements, write_truth
+from .scenario import (
+    build_scenario,
+    generate_measurements,
+    simulate_truth,
+    write_measurements,
+    write_truth,
+)
 from .streams import substream
 
 __all__ = ["main"]
@@ -135,9 +141,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         substream(config.master_seed, "truth", 0) if sim.truth_process_noise else None
     )
     truth = simulate_truth(sim, truth_rng)
-    frames = simulate_measurements(
-        truth, scenario.sensors, sim, substream(config.master_seed, "measurements", 0)
-    )
+    # The streams run 0 of a campaign draws from, one per timestep.
+    frames = [
+        generate_measurements(
+            frame,
+            scenario.sensors,
+            sim,
+            substream(config.master_seed, "measurements", 0, frame.timestep),
+        )
+        for frame in truth.frames
+    ]
     directory = _output_dir(config)
     with open(directory / "truth.txt", "w") as handle:
         write_truth(truth, handle)

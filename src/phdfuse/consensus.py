@@ -262,6 +262,8 @@ def partial_fusion(
     its reconstructed mixture; ``self_weight`` is the listener's own
     coefficient.
     """
+    if not match_threshold >= 0.0:
+        raise ValueError(f"match_threshold must be non-negative, got {match_threshold}")
     dim = own.dimension
     count = own.size
     mass = self_weight * own.weights

@@ -291,82 +291,69 @@ def merge(gm: GaussianMixture, merge_threshold: float) -> GaussianMixture:
     is absorbed (instead of lingering and compounding), while a sharp
     neighbour a few of its own standard deviations away survives.  Total
     weight is preserved exactly up to floating-point summation.
+
+    Groups of equal size are moment-matched together, one batch per size.
+    Each group's members are summed in index order with the same numpy and
+    BLAS calls as one group on its own, so the result does not depend on
+    which groups share a batch.
     """
     if not merge_threshold >= 0.0:
         raise ValueError(f"merge_threshold must be non-negative, got {merge_threshold}")
     if gm.size <= 1:
         return gm
     weights, means, covs = gm.weights, gm.means, gm.covariances
+    count = gm.size
     # close[lead, j]: component j lies within the threshold of lead, in j's metric.
     close = _pairwise_mahalanobis2(means, covs, means).T <= merge_threshold
     # A lead always joins its own group, as with ``solve``, even if its
     # inverse overflowed and made its own distance NaN.
     np.fill_diagonal(close, True)
-    alive = np.ones(gm.size, dtype=bool)
+    # Bit j of a row's integer is close[lead, j]; ``alive`` holds the unmerged set.
+    row_bytes = (count + 7) // 8
+    packed = np.packbits(close, axis=1, bitorder="little").tobytes()
+    alive = (1 << count) - 1
     leads: list[int] = []
-    groups: list[np.ndarray] = []
+    groups: list[bytes] = []
     for lead in np.argsort(-weights, kind="stable").tolist():
-        if alive[lead]:
-            group = np.flatnonzero(close[lead] & alive)
-            alive[group] = False
+        if alive >> lead & 1:
+            row = packed[lead * row_bytes : (lead + 1) * row_bytes]
+            group = int.from_bytes(row, "little") & alive
+            alive ^= group
             leads.append(lead)
-            groups.append(group)
+            groups.append(group.to_bytes(row_bytes, "little"))
+    bits = np.frombuffer(b"".join(groups), dtype=np.uint8).reshape(len(groups), row_bytes)
+    slot_of, member = np.nonzero(np.unpackbits(bits, axis=1, count=count, bitorder="little"))
+    sizes = np.bincount(slot_of, minlength=len(groups))
+    starts = np.cumsum(sizes) - sizes
+    leads_of = np.array(leads)
     out_w = np.empty(len(groups))
     out_m = np.empty((len(groups), gm.dimension))
     out_p = np.empty((len(groups), gm.dimension, gm.dimension))
-    single = np.array([group.size == 1 for group in groups])
-    members = np.array(leads)[single]
-    out_w[single], out_m[single], out_p[single] = _moment_match_singletons(
-        weights[members], means[members], covs[members]
-    )
-    for slot in np.flatnonzero(~single).tolist():
-        group = groups[slot]
-        group_w = weights[group]
-        total = float(np.sum(group_w))
-        if total > 0.0:
-            mean = (group_w @ means[group]) / total
-            spread = means[group] - mean
-            cov = (
-                np.sum(
-                    group_w[:, np.newaxis, np.newaxis]
-                    * (covs[group] + spread[:, :, np.newaxis] * spread[:, np.newaxis, :]),
-                    axis=0,
-                )
-                / total
+    for size in np.unique(sizes).tolist():
+        slots = np.flatnonzero(sizes == size)
+        # idx[g]: the members of group slots[g], ascending.
+        idx = member[starts[slots][:, np.newaxis] + np.arange(size)]
+        group_w, group_m = weights[idx], means[idx]
+        total = np.sum(group_w, axis=1)
+        # A zero total divides by one instead; its slot is overwritten below.
+        divisor = np.where(total > 0.0, total, 1.0)
+        mean = (group_w[:, np.newaxis, :] @ group_m)[:, 0] / divisor[:, np.newaxis]
+        spread = group_m - mean[:, np.newaxis, :]
+        out_w[slots] = total
+        out_m[slots] = mean
+        out_p[slots] = (
+            np.sum(
+                group_w[:, :, np.newaxis, np.newaxis]
+                * (covs[idx] + spread[:, :, :, np.newaxis] * spread[:, :, np.newaxis, :]),
+                axis=1,
             )
-        else:
-            # A group of zero-weight components collapses onto its lead.
-            lead = leads[slot]
-            mean = means[lead]
-            cov = covs[lead]
-        out_w[slot] = total
-        out_m[slot] = mean
-        out_p[slot] = symmetrize(cov)
-    return GaussianMixture(out_w, out_m, out_p, dimension=gm.dimension)
-
-
-def _moment_match_singletons(
-    weights: np.ndarray, means: np.ndarray, covs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """What :func:`merge`'s per-group arithmetic gives each one-member group,
-    bit for bit, for many groups at once.
-
-    For weight ``w > 0`` that arithmetic is ``mean = (w m) / w`` and
-    ``cov = (w (P + s s^T)) / w`` with ``s = m - mean``, which need not round
-    back to ``m`` and ``P``; a zero weight keeps ``m`` and ``P``.  Each
-    ``+ 0.0`` reproduces the sign of zero of a one-term sum or dot product.
-    """
-    positive = weights > 0.0
-    divisor = np.where(positive, weights, 1.0)[:, np.newaxis]
-    mean = (weights[:, np.newaxis] * means + 0.0) / divisor
-    spread = means - mean
-    cov = (
-        weights[:, np.newaxis, np.newaxis]
-        * (covs + spread[:, :, np.newaxis] * spread[:, np.newaxis, :])
-    ) / divisor[:, :, np.newaxis]
-    mean = np.where(positive[:, np.newaxis], mean, means)
-    cov = np.where(positive[:, np.newaxis, np.newaxis], cov, covs)
-    return weights + 0.0, mean, symmetrize(cov)
+            / divisor[:, np.newaxis, np.newaxis]
+        )
+    # A group of zero-weight components collapses onto its lead.
+    empty = np.flatnonzero(out_w == 0.0)
+    out_m[empty] = means[leads_of[empty]]
+    out_p[empty] = covs[leads_of[empty]]
+    return GaussianMixture(out_w, out_m, symmetrize(out_p), dimension=gm.dimension)
 
 
 def cap(gm: GaussianMixture, max_components: int) -> GaussianMixture:

@@ -176,9 +176,10 @@ class PhdConfig:
     joseph_update: bool = False
 
     def __post_init__(self) -> None:
-        if self.prune_threshold < 0.0:
+        # Written so that NaN fails too.
+        if not self.prune_threshold >= 0.0:
             raise ValueError("prune_threshold must be non-negative")
-        if self.merge_threshold <= 0.0:
+        if not self.merge_threshold > 0.0:
             raise ValueError("merge_threshold must be positive")
         if self.max_components < 1:
             raise ValueError("max_components must be at least 1")

@@ -34,6 +34,14 @@ def single_gaussian(weight: float, mean, covariance) -> GaussianMixture:
     )
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "slow: uses the Monte Carlo acceptance fixture (minutes); "
+        'deselect with -m "not slow"',
+    )
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)

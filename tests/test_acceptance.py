@@ -391,6 +391,7 @@ def campaigns():
     return {"results": results, "elapsed": time.perf_counter() - start}
 
 
+@pytest.mark.slow
 def test_criterion_07_consensus_benefit_ordering(campaigns, capsys):
     """Time-averaged network OSPA should fall as consensus rounds increase
     (full exchange and the sampling policy alike) and at alpha=6 should order
@@ -472,6 +473,7 @@ def test_criterion_07_consensus_benefit_ordering(campaigns, capsys):
         )
 
 
+@pytest.mark.slow
 def test_criterion_08_transmissions_respect_budget(campaigns, capsys):
     """Every rank and sampling transmission in the benchmark stays within the
     five-component budget, and sampling never costs more floats per

@@ -8,12 +8,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import phdfuse
 import phdfuse.experiment as experiment
 from phdfuse.cli import main
-from phdfuse.scenario import read_measurements, read_truth
+from phdfuse.scenario import generate_measurements, read_measurements, read_truth
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -172,6 +173,26 @@ def test_simulate_writes_replayable_files(tiny_config, tmp_path):
     assert len(truth.frames) == 3 and len(frames) == 3
     assert truth.frames[0].timestep == 1
     assert len(frames[0].per_sensor) == 6
+
+
+def test_simulate_writes_the_measurements_run_zero_draws(tiny_config, tmp_path, monkeypatch):
+    drawn = []
+
+    def recording(*args, **kwargs):
+        drawn.append(generate_measurements(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(experiment, "generate_measurements", recording)
+    assert main(["run", "--config", str(tiny_config), "--output-dir", str(tmp_path / "run")]) == 0
+    assert [frame.timestep for frame in drawn] == [1, 2, 3]
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(tiny_config), "--output-dir", str(out)]) == 0
+    with open(out / "measurements.txt") as handle:
+        frames = read_measurements(handle, horizon=3, sensor_count=6)
+    for written, expected in zip(frames, drawn, strict=True):
+        assert written.timestep == expected.timestep
+        for block, expected_block in zip(written.per_sensor, expected.per_sensor, strict=True):
+            np.testing.assert_array_equal(block.reshape(-1, 2), expected_block.reshape(-1, 2))
 
 
 def _read_console_scripts(text):

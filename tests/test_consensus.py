@@ -229,6 +229,15 @@ class TestPartialFusion:
         received = [(0.5, single_gaussian(1.0, [3.0], [[1.0]]))]
         assert partial_fusion(own, received, 0.5, match_threshold=1.0).size == 2
 
+    def test_rejects_negative_or_nan_threshold(self):
+        # A NaN gate would match the far received component to the own one.
+        own = single_gaussian(1.0, [0.0, 0.0], np.eye(2))
+        received = [(0.5, single_gaussian(1.0, [1e6, 1e6], np.eye(2)))]
+        assert partial_fusion(own, received, 0.5, 15.0).size == 2
+        for threshold in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="match_threshold"):
+                partial_fusion(own, received, 0.5, threshold)
+
     def test_empty_own_and_empty_received(self, rng):
         incoming = random_mixture(rng, dim=2, max_components=3)
         fused = partial_fusion(

@@ -381,6 +381,27 @@ def clustered_mixture(rng: np.random.Generator, size: int, dim: int) -> Gaussian
     return GaussianMixture(weights, means, covariances, dimension=dim)
 
 
+def grouped_mixture(
+    rng: np.random.Generator, group_sizes: tuple[int, ...], dim: int, zero_group: int
+) -> GaussianMixture:
+    """Far-apart tight clusters, one per entry of ``group_sizes``, so that
+    merge forms exactly these groups.  Members are shuffled across the index
+    range; weights span six decades; cluster ``zero_group`` has only 0.0 and
+    -0.0 weights."""
+    count = sum(group_sizes)
+    label = np.repeat(np.arange(len(group_sizes)), group_sizes)
+    centres = rng.uniform(-1e3, 1e3, size=(len(group_sizes), dim))
+    centres[:, 0] = 1e4 * np.arange(len(group_sizes))
+    means = centres[label] + rng.normal(scale=0.05, size=(count, dim))
+    a = rng.standard_normal((count, dim, dim))
+    covariances = a @ np.swapaxes(a, 1, 2) + (1.0 + rng.random(count))[:, None, None] * np.eye(dim)
+    weights = rng.random(count) * 10.0 ** rng.uniform(-3.0, 3.0, size=count)
+    zero = label == zero_group
+    weights[zero] = rng.choice([0.0, -0.0], size=int(zero.sum()))
+    order = rng.permutation(count)
+    return GaussianMixture(weights[order], means[order], covariances[order], dimension=dim)
+
+
 class TestBitExactReduction:
     """The vectorised reductions against the loops they replaced."""
 
@@ -393,6 +414,21 @@ class TestBitExactReduction:
         for threshold in (4.0, 15.0):
             gm = clustered_mixture(rng, size, dim)
             assert_bitwise_equal(merge(gm, threshold), reference_merge(gm, threshold))
+
+    # numpy's 1-d sum is sequential below 8 terms and uses eight
+    # accumulators from 8 on; the scenario forms merge groups of up to ~40.
+    # Two groups per size (three of size 9, one with zero weights), so every
+    # batch of equal-size groups holds more than one group.
+    GROUP_SIZES = (1, 2, 7, 8, 9, 16, 17, 40, 47) * 2 + (9,)
+
+    @pytest.mark.parametrize("dim", [1, 2, 4])
+    def test_merge_matches_reference_loop_on_large_groups(self, dim):
+        rng = np.random.default_rng(77 + dim)
+        gm = grouped_mixture(rng, self.GROUP_SIZES, dim, zero_group=len(self.GROUP_SIZES) - 1)
+        merged = merge(gm, 4.0)
+        assert merged.size == len(self.GROUP_SIZES)
+        assert np.count_nonzero(merged.weights == 0.0) == 1
+        assert_bitwise_equal(merged, reference_merge(gm, 4.0))
 
     def test_merge_ties_and_zero_weight_groups(self):
         # Equal weights pick the earliest lead; a group whose weights are all

@@ -73,6 +73,12 @@ class TestModelValidation:
             PhdConfig(prune_threshold=-1e-9)
         with pytest.raises(ValueError, match="merge_threshold"):
             PhdConfig(merge_threshold=0.0)
+        # NaN compares false both ways: as a prune threshold it would drop
+        # every component, as a merge threshold it would fail inside merge.
+        with pytest.raises(ValueError, match="prune_threshold"):
+            PhdConfig(prune_threshold=float("nan"))
+        with pytest.raises(ValueError, match="merge_threshold"):
+            PhdConfig(merge_threshold=float("nan"))
         with pytest.raises(ValueError, match="max_components"):
             PhdConfig(max_components=0)
         with pytest.raises(ValueError, match="extraction_threshold"):
