@@ -85,7 +85,6 @@ class ExperimentConfig:
     threshold: float = 0.1
     draw_mode: str = "stop_at_B_distinct"
     draws: int | None = None
-    inclusion_replicates: int = 10_000
     mc_runs: int = 25
     master_seed: int = 0
     parallelism: int = 1
@@ -102,7 +101,7 @@ class ExperimentConfig:
             raise ValueError("alpha must be non-negative")
         if self.bandwidth < 1:
             raise ValueError("bandwidth must be at least 1")
-        if self.threshold < 0.0:
+        if not self.threshold >= 0.0:
             raise ValueError("threshold must be non-negative")
         if self.mc_runs < 1:
             raise ValueError("mc_runs must be at least 1")
@@ -197,6 +196,11 @@ class ExperimentResult:
         return float(np.mean([r.total_tx_floats for r in records]))
 
 
+# What a run records as its own numerical failure instead of aborting the
+# campaign.
+_NUMERICAL_FAILURES = (np.linalg.LinAlgError, ValueError, ArithmeticError)
+
+
 class BudgetExceeded(Exception):
     """A budgeted policy sent more components than the campaign's bandwidth.
 
@@ -218,68 +222,77 @@ def _single_run(scenario: Scenario, config: ExperimentConfig, run_index: int) ->
     total_cost = np.zeros(3, dtype=np.int64)
     filter_components = 0
     consensus_components = 0
-    for k in range(1, sim.horizon + 1):
-        frame = truth.at(k)
-        measurements = generate_measurements(
-            frame, scenario.sensors, sim, substream(seed, "measurements", run_index, k)
-        )
-        for i in range(sim.sensor_count):
-            predicted = predict(posteriors[i], scenario.motion, scenario.birth, scenario.spawn)
-            updated = update(
-                predicted,
-                scenario.sensors[i],
-                measurements.per_sensor[i],
-                joseph=config.phd.joseph_update,
+    # Where the run is, for the error of a failed run: the timestep and the
+    # consensus round, 0 outside the rounds (filter step, extraction, OSPA).
+    k = round_index = 0
+    try:
+        for k in range(1, sim.horizon + 1):
+            round_index = 0
+            frame = truth.at(k)
+            measurements = generate_measurements(
+                frame, scenario.sensors, sim, substream(seed, "measurements", run_index, k)
             )
-            filter_components += updated.size
-            posteriors[i] = reduce_mixture(updated, config.phd)
-        step_cost = np.zeros((sim.sensor_count, 3), dtype=np.int64)
-        for round_index in range(1, config.rounds + 1):
-            rngs = [
-                substream(seed, "consensus", run_index, k, round_index, i)
-                for i in range(sim.sensor_count)
-            ]
-            posteriors, transmissions = consensus_round(
-                posteriors,
-                scenario.weights,
-                policy,
-                rngs,
-                reduction=config.phd,
-                match_threshold=config.phd.merge_threshold,
-            )
-            for i, transmission in enumerate(transmissions):
-                if rule.budgeted and len(transmission) > config.bandwidth:
-                    raise BudgetExceeded(
-                        f"policy {config.algorithm} sent {len(transmission)} "
-                        f"components against a budget of {config.bandwidth}"
-                    )
-                cost = transmission_cost(transmission)
-                step_cost[i] += (cost.floats, cost.integers, cost.components)
-            consensus_components += sum(mix.size for mix in posteriors)
-            consensus_components += sum(len(t) for t in transmissions)
-        truth_positions = frame.positions
-        sensor_ospa: list[float] = []
-        for i in range(sim.sensor_count):
-            states = extract_targets(posteriors[i], config.phd)
-            points = states if config.ospa_full_state else states[:, :2]
-            reference = frame.states if config.ospa_full_state else truth_positions
-            result = ospa(points, reference, config.ospa)
-            sensor_ospa.append(result.distance)
-            rows.append(
-                StepRow(
-                    run=run_index,
-                    timestep=k,
-                    sensor=i,
-                    ospa_m=result.distance,
-                    card_est=posteriors[i].total_weight(),
-                    extracted=len(states),
-                    tx_floats=int(step_cost[i, 0]),
-                    tx_ints=int(step_cost[i, 1]),
-                    tx_components=int(step_cost[i, 2]),
+            for i in range(sim.sensor_count):
+                predicted = predict(posteriors[i], scenario.motion, scenario.birth, scenario.spawn)
+                updated = update(
+                    predicted,
+                    scenario.sensors[i],
+                    measurements.per_sensor[i],
+                    joseph=config.phd.joseph_update,
                 )
-            )
-        total_cost += step_cost.sum(axis=0)
-        network_values.append(float(np.mean(sensor_ospa)))
+                filter_components += updated.size
+                posteriors[i] = reduce_mixture(updated, config.phd)
+            step_cost = np.zeros((sim.sensor_count, 3), dtype=np.int64)
+            for round_index in range(1, config.rounds + 1):
+                rngs = [
+                    substream(seed, "consensus", run_index, k, round_index, i)
+                    for i in range(sim.sensor_count)
+                ]
+                posteriors, transmissions = consensus_round(
+                    posteriors,
+                    scenario.weights,
+                    policy,
+                    rngs,
+                    reduction=config.phd,
+                    match_threshold=config.phd.merge_threshold,
+                )
+                for i, transmission in enumerate(transmissions):
+                    if rule.budgeted and len(transmission) > config.bandwidth:
+                        raise BudgetExceeded(
+                            f"policy {config.algorithm} sent {len(transmission)} "
+                            f"components against a budget of {config.bandwidth}"
+                        )
+                    cost = transmission_cost(transmission)
+                    step_cost[i] += (cost.floats, cost.integers, cost.components)
+                consensus_components += sum(mix.size for mix in posteriors)
+                consensus_components += sum(len(t) for t in transmissions)
+            round_index = 0
+            truth_positions = frame.positions
+            sensor_ospa: list[float] = []
+            for i in range(sim.sensor_count):
+                states = extract_targets(posteriors[i], config.phd)
+                points = states if config.ospa_full_state else states[:, :2]
+                reference = frame.states if config.ospa_full_state else truth_positions
+                result = ospa(points, reference, config.ospa)
+                sensor_ospa.append(result.distance)
+                rows.append(
+                    StepRow(
+                        run=run_index,
+                        timestep=k,
+                        sensor=i,
+                        ospa_m=result.distance,
+                        card_est=posteriors[i].total_weight(),
+                        extracted=len(states),
+                        tx_floats=int(step_cost[i, 0]),
+                        tx_ints=int(step_cost[i, 1]),
+                        tx_components=int(step_cost[i, 2]),
+                    )
+                )
+            total_cost += step_cost.sum(axis=0)
+            network_values.append(float(np.mean(sensor_ospa)))
+    except _NUMERICAL_FAILURES as exc:
+        exc.run_location = f"k={k}, round={round_index}"
+        raise
     return RunRecord(
         run=run_index,
         rows=tuple(rows),
@@ -295,8 +308,10 @@ def _single_run(scenario: Scenario, config: ExperimentConfig, run_index: int) ->
 def _guarded_run(scenario: Scenario, config: ExperimentConfig, run_index: int) -> RunRecord:
     try:
         return _single_run(scenario, config, run_index)
-    except (np.linalg.LinAlgError, ValueError, ArithmeticError) as exc:
-        return RunRecord(run=run_index, error=f"{type(exc).__name__}: {exc}")
+    except _NUMERICAL_FAILURES as exc:
+        location = getattr(exc, "run_location", None)
+        where = f" ({location})" if location else ""
+        return RunRecord(run=run_index, error=f"{type(exc).__name__}: {exc}{where}")
 
 
 def run_experiment(config: ExperimentConfig, scenario: Scenario | None = None) -> ExperimentResult:
@@ -585,9 +600,9 @@ def load_experiment_config(source: str | Path | dict, **overrides) -> Experiment
 
     Recognised keys: scenario ("paper"), scenario_overrides (ScenarioConfig
     fields), algorithm, alpha, bandwidth, threshold, draw_mode, draws,
-    inclusion_replicates, mc_runs, master_seed, parallelism, output_dir,
-    ospa {order, cutoff}, ospa_full_state, phd (PhdConfig fields).  Keyword
-    overrides replace file values (used by the CLI override flags).
+    mc_runs, master_seed, parallelism, output_dir, ospa {order, cutoff},
+    ospa_full_state, phd (PhdConfig fields); other keys are ignored.
+    Keyword overrides replace file values (used by the CLI override flags).
     """
     if isinstance(source, dict):
         payload = dict(source)
@@ -604,7 +619,6 @@ def load_experiment_config(source: str | Path | dict, **overrides) -> Experiment
         "threshold": payload.get("threshold", 0.1),
         "draw_mode": payload.get("draw_mode", "stop_at_B_distinct"),
         "draws": payload.get("draws"),
-        "inclusion_replicates": payload.get("inclusion_replicates", 10_000),
         "mc_runs": payload.get("mc_runs", 25),
         "master_seed": payload.get("master_seed", 0),
         "parallelism": payload.get("parallelism", 1),

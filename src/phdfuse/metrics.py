@@ -33,9 +33,9 @@ class OspaConfig:
     cutoff: float = 100.0
 
     def __post_init__(self) -> None:
-        if self.order < 1.0:
+        if not self.order >= 1.0:
             raise ValueError("OSPA order must be >= 1")
-        if self.cutoff <= 0.0:
+        if not self.cutoff > 0.0:
             raise ValueError("OSPA cutoff must be positive")
 
 

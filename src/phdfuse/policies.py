@@ -4,8 +4,8 @@ A sensor that must broadcast its intensity under a component budget B picks
 what to send with one of five policies: full broadcast, the rank rule (top-B
 weights), the threshold rule (weights above tau), weighted random sampling
 with replacement (counts plus one shared weight), and weighted sampling
-without replacement (exponential-keys selection with inclusion-probability
-weight correction).
+without replacement (exponential-keys selection with exact
+inclusion-probability weight correction).
 
 ``ALGORITHMS`` is the comparison's table of communication rules: for each
 algorithm name it declares the policy a campaign builds, whether its
@@ -40,6 +40,7 @@ __all__ = [
     "select_threshold",
     "sample_with_replacement",
     "sample_without_replacement",
+    "inclusion_probabilities",
     "reconstruct",
     "transmission_cost",
     "encode_transmission",
@@ -147,15 +148,12 @@ class SamplingConfig:
 
     draw_mode "stop_at_B_distinct" keeps drawing until a draw would introduce
     a (B+1)-th distinct component (that draw is discarded); "fixed_draws"
-    takes exactly ``draws`` draws (default 4*B).  ``inclusion_replicates``
-    sizes the Monte Carlo pre-pass that estimates inclusion probabilities for
-    sampling without replacement.
+    takes exactly ``draws`` draws (default 4*B).
     """
 
     bandwidth: int
     draw_mode: str = "stop_at_B_distinct"
     draws: int | None = None
-    inclusion_replicates: int = 10_000
 
     def __post_init__(self) -> None:
         if self.bandwidth < 1:
@@ -164,8 +162,6 @@ class SamplingConfig:
             raise ValueError(f"unknown draw_mode: {self.draw_mode!r}")
         if self.draws is not None and self.draws < 1:
             raise ValueError("fixed draw count must be at least 1")
-        if self.inclusion_replicates < 1:
-            raise ValueError("inclusion_replicates must be at least 1")
 
     @property
     def fixed_draw_count(self) -> int:
@@ -225,7 +221,7 @@ def select_rank(gm: GaussianMixture, bandwidth: int) -> Transmission:
 
 def select_threshold(gm: GaussianMixture, tau: float) -> Transmission:
     """Broadcast components whose weight strictly exceeds ``tau``."""
-    if tau < 0.0:
+    if not tau >= 0.0:
         raise ValueError("tau must be non-negative")
     indices = np.flatnonzero(gm.weights > tau)
     return Transmission(
@@ -325,18 +321,63 @@ def _exponential_key_selection(
     return np.sort(np.argpartition(keys, bandwidth - 1)[:bandwidth])
 
 
-def estimate_inclusion_probabilities(
-    weights: np.ndarray, bandwidth: int, replicates: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Monte Carlo estimate of P(l selected) under exponential-keys sampling.
+# Trapezoid rule in x = log t for the inclusion integral.  The integrand is
+# smooth and decays like e^x as x -> -inf and double-exponentially as
+# x -> +inf, so a fixed step converges spectrally.  Times t are for weights
+# normalised to sum 1.
+_LOG_T_STEP = 0.25
+_T_MIN = 1e-17
+_T_MAX_RATE = 60.0
 
-    The scheme has no closed-form first-order inclusion probabilities, so they
-    are estimated by replaying the selection ``replicates`` times.
+
+def inclusion_probabilities(
+    weights: np.ndarray, bandwidth: int, indices: np.ndarray
+) -> np.ndarray:
+    """Exact P(l selected) under exponential-keys sampling, for each l in ``indices``.
+
+    Component l's key is exponential with rate ``w_l``, and l is selected
+    when fewer than B other keys are smaller than its own, so
+    ``pi_l = integral over t > 0 of w_l exp(-w_l t) P(N_l(t) <= B-1) dt``,
+    where N_l(t) counts the other keys below t, a Poisson-binomial variable
+    with success probabilities ``1 - exp(-w_j t)``.  Its distribution is
+    built by a dynamic programme over j, truncated at B-1 and vectorised over
+    the quadrature nodes and the requested rows: first over the components
+    not requested (shared by every row), then over the requested ones, each
+    left out of its own row.  With the weights normalised to sum 1, the
+    integral runs from ``t = 1e-17`` to ``60 / w_(B+1)``, where ``w_(B+1)``
+    is the (B+1)-th largest weight: past it, l and at least J-B other keys
+    must all still be above t, so every term of the integrand decays at
+    least like ``exp(-(w_(B) + w_(B+1)) t)``, below ``e^-120`` there.
+    Results are clamped to at most 1 against roundoff, so a corrected weight
+    ``w / pi`` is never below ``w``.  The weights must be strictly positive.
     """
-    keys = -np.log(rng.random((replicates, weights.size))) / weights
-    selected = np.argpartition(keys, bandwidth - 1, axis=1)[:, :bandwidth]
-    hits = np.bincount(selected.ravel(), minlength=weights.size)
-    return hits / replicates
+    if not 1 <= bandwidth < weights.size:
+        raise ValueError(f"bandwidth {bandwidth} must be in [1, {weights.size})")
+    w = weights / weights.sum()
+    t_max = _T_MAX_RATE / np.partition(w, w.size - bandwidth - 1)[w.size - bandwidth - 1]
+    t = np.exp(np.arange(np.log(_T_MIN), np.log(t_max) + _LOG_T_STEP, _LOG_T_STEP))
+    wt = np.multiply.outer(w, t)
+    fired = -np.expm1(-wt)  # P(key_j < t)
+    unfired = np.exp(-wt)
+    requested = np.zeros(w.size, dtype=bool)
+    requested[indices] = True
+    # below[c] = P(exactly c of the keys seen so far are below t), c < B.
+    below = np.zeros((bandwidth, t.size))
+    below[0] = 1.0
+    for p, q in zip(fired[~requested], unfired[~requested]):
+        below[1:] = below[1:] * q + below[:-1] * p
+        below[0] *= q
+    rows = np.repeat(below[None], indices.size, axis=0)
+    for row, j in enumerate(indices):
+        p = np.repeat(fired[j][None, None], indices.size, axis=0)
+        q = np.repeat(unfired[j][None, None], indices.size, axis=0)
+        p[row] = 0.0
+        q[row] = 1.0
+        rows[:, 1:] = rows[:, 1:] * q + rows[:, :-1] * p
+        rows[:, 0] *= q[:, 0]
+    integrand = wt[indices] * unfired[indices] * rows.sum(axis=1)
+    inner = integrand.sum(axis=1) - 0.5 * (integrand[:, 0] + integrand[:, -1])
+    return np.minimum(_LOG_T_STEP * inner, 1.0)
 
 
 def sample_without_replacement(
@@ -344,11 +385,12 @@ def sample_without_replacement(
 ) -> Transmission:
     """Weighted sampling without replacement with bias-correcting weights.
 
-    B distinct components are drawn by the exponential-keys method; each
-    selected component is sent with weight ``w_l / P(l selected)`` so that the
-    expected reconstructed weight per component equals the original.  The
-    inclusion probabilities come from a Monte Carlo pre-pass sharing the same
-    random stream.
+    B distinct components are drawn by the exponential-keys method
+    (Efraimidis and Spirakis), one uniform draw per component; each selected
+    component is sent with the Horvitz-Thompson weight ``w_l / P(l selected)``,
+    with the exact inclusion probabilities of ``inclusion_probabilities``, so
+    that the expected reconstructed weight of every component equals its
+    original weight.
     """
     if gm.size == 0:
         raise ValueError("cannot sample from an empty mixture")
@@ -366,15 +408,7 @@ def sample_without_replacement(
             dimension=gm.dimension,
         )
     indices = _exponential_key_selection(gm.weights, budget, rng)
-    inclusion = estimate_inclusion_probabilities(
-        gm.weights, budget, config.inclusion_replicates, rng
-    )
-    if np.any(inclusion[indices] <= 0.0):
-        raise ArithmeticError(
-            "estimated inclusion probability of 0 for a selected component; "
-            "increase inclusion_replicates"
-        )
-    corrected = gm.weights[indices] / inclusion[indices]
+    corrected = gm.weights[indices] / inclusion_probabilities(gm.weights, budget, indices)
     return Transmission(
         policy=PolicyTag.SAMPLE_NO_REPLACEMENT,
         entries=_explicit_entries(gm, indices, corrected),
@@ -566,9 +600,8 @@ class Algorithm:
     """One communication rule of the comparison, as a campaign runs it.
 
     ``build`` makes the rule's policy from the campaign's settings (an object
-    with ``bandwidth``, ``threshold``, ``draw_mode``, ``draws`` and
-    ``inclusion_replicates``); a rule with ``tag=None`` never communicates and
-    builds no policy.  ``budgeted`` rules must never send more than
+    with ``bandwidth``, ``threshold``, ``draw_mode`` and ``draws``); a rule
+    with ``tag=None`` never communicates and builds no policy.  ``budgeted`` rules must never send more than
     ``bandwidth`` components.  With ``partial_fusion`` receivers fuse through
     :func:`phdfuse.consensus.partial_fusion`, otherwise through the weighted
     sum.  ``rank`` orders paired comparisons, best first.
@@ -614,9 +647,7 @@ ALGORITHMS: dict[str, Algorithm] = {
     "sample_no_replacement": Algorithm(
         PolicyTag.SAMPLE_NO_REPLACEMENT,
         lambda settings: SampleWithoutReplacementPolicy(
-            SamplingConfig(
-                bandwidth=settings.bandwidth, inclusion_replicates=settings.inclusion_replicates
-            )
+            SamplingConfig(bandwidth=settings.bandwidth)
         ),
         rank=1,
         budgeted=True,

@@ -172,9 +172,9 @@ class ScenarioConfig:
             raise ValueError("detection_probability must be in [0, 1]")
         if not 0.0 <= self.survival_probability <= 1.0:
             raise ValueError("survival_probability must be in [0, 1]")
-        if self.clutter_density < 0.0:
+        if not self.clutter_density >= 0.0:
             raise ValueError("clutter_density must be non-negative")
-        if self.step_time <= 0.0:
+        if not self.step_time > 0.0:
             raise ValueError("step_time must be positive")
         object.__setattr__(self, "targets", tuple(self.targets))
 

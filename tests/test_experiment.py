@@ -78,6 +78,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="master_seed"):
             ExperimentConfig(algorithm="full", alpha=1, master_seed=-1)
 
+    def test_nan_threshold_rejected(self):
+        # A NaN threshold made partial_threshold send nothing, recorded as ok.
+        with pytest.raises(ValueError, match="threshold"):
+            ExperimentConfig(algorithm="partial_threshold", alpha=1, threshold=float("nan"))
+
     def test_label_and_rounds(self):
         config = ExperimentConfig(algorithm="partial_rank", alpha=3)
         assert config.label == "partial_rank_a3"
@@ -99,9 +104,9 @@ class TestConfig:
         sampler = build("sample_replacement", bandwidth=4, draw_mode="fixed_draws", draws=4)
         assert isinstance(sampler, SampleWithReplacementPolicy)
         assert sampler.config.bandwidth == 4 and sampler.config.draws == 4
-        adaptive = build("sample_no_replacement", bandwidth=4, inclusion_replicates=50)
+        adaptive = build("sample_no_replacement", bandwidth=4)
         assert isinstance(adaptive, SampleWithoutReplacementPolicy)
-        assert adaptive.config.bandwidth == 4 and adaptive.config.inclusion_replicates == 50
+        assert adaptive.config.bandwidth == 4
         for name, rule in ALGORITHMS.items():
             policy = build(name)
             assert (policy.tag if policy is not None else None) is rule.tag
@@ -120,22 +125,17 @@ class TestConfig:
 class TestAdaptivePolicy:
     """Sampling without replacement as campaigns build it."""
 
-    def policy(self, inclusion_replicates):
-        config = ExperimentConfig(
-            algorithm="sample_no_replacement",
-            alpha=1,
-            bandwidth=5,
-            inclusion_replicates=inclusion_replicates,
-        )
+    def policy(self):
+        config = ExperimentConfig(algorithm="sample_no_replacement", alpha=1, bandwidth=5)
         return ALGORITHMS[config.algorithm].build(config)
 
     def test_empty_mixture(self):
-        tx = self.policy(100).select(GaussianMixture.empty(4), np.random.default_rng(0))
+        tx = self.policy().select(GaussianMixture.empty(4), np.random.default_rng(0))
         assert len(tx) == 0 and tx.policy is PolicyTag.SAMPLE_NO_REPLACEMENT
 
     def test_small_mixture_sent_whole(self, rng):
         gm = random_mixture(rng, dim=2, min_components=3, max_components=3)
-        tx = self.policy(100).select(gm, rng)
+        tx = self.policy().select(gm, rng)
         assert len(tx) == 3
         np.testing.assert_array_equal(
             np.array([entry.weight for entry in tx]), gm.weights
@@ -143,7 +143,7 @@ class TestAdaptivePolicy:
 
     def test_large_mixture_clamped_to_budget(self, rng):
         gm = random_mixture(rng, dim=2, min_components=8, max_components=8)
-        assert len(self.policy(500).select(gm, rng)) == 5
+        assert len(self.policy().select(gm, rng)) == 5
 
 
 class TestRunExperiment:
@@ -239,6 +239,46 @@ class TestRunExperiment:
         assert len(result.successful) == 2
         assert np.isfinite(result.ospa_mean)
 
+    def test_failed_run_names_its_timestep_and_round(self, monkeypatch):
+        original = experiment.consensus_round
+        calls = []
+
+        def failing_at_k3_round2(*args, **kwargs):
+            calls.append(None)
+            k, round_index = divmod(len(calls) - 1, 2)  # alpha = 2 rounds per step
+            if (k + 1, round_index + 1) == (3, 2):
+                raise np.linalg.LinAlgError("synthetic failure")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "consensus_round", failing_at_k3_round2)
+        result = run_experiment(tiny_config(algorithm="full", alpha=2, horizon=4))
+        assert result.records[0].error == "LinAlgError: synthetic failure (k=3, round=2)"
+
+    def test_filter_step_failure_is_round_zero(self, monkeypatch):
+        original = experiment.update
+        calls = []
+
+        def failing_at_k2(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 6 + 1:  # the first sensor's update at k = 2
+                raise ValueError("synthetic failure")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "update", failing_at_k2)
+        result = run_experiment(tiny_config(algorithm="full", alpha=2, horizon=3))
+        assert result.records[0].error == "ValueError: synthetic failure (k=2, round=0)"
+
+    def test_sampling_without_replacement_completes_where_the_replay_aborted(self):
+        # Run 1 of this campaign used to abort at k = 11, round 3, when the
+        # Monte Carlo inclusion estimate gave pi = 0 for a selected component
+        # of a 34-component mixture whose smallest weight is 1e-5.
+        config = tiny_config(
+            algorithm="sample_no_replacement", alpha=3, horizon=11, mc_runs=2, master_seed=0
+        )
+        record = run_experiment(config).records[1]
+        assert record.ok, record.error
+        assert len(record.rows) == 11 * 6
+
     def test_budget_overrun_aborts_the_campaign(self, monkeypatch):
         class Overrun:
             tag = PolicyTag.RANK
@@ -262,8 +302,7 @@ class TestRunExperiment:
         "partial_rank": "5b02327ffb0237443a1109c84283dbb487d50fc67bfbad97847266dbf9a06282",
         "partial_threshold": "431643ee46533d24523bb38656778d2d37b07bd3af94772f93e2922275822e9d",
         "sample_replacement": "78c6213417f58d6a03c5939b0d57aedc1f1e33d255f2a7854d98556ebbce0c1a",
-        # Run 0 fails with the estimated inclusion probability of 0.
-        "sample_no_replacement": "436d3e96a157c259c5035c94c9d8dd91b360e0365c16df33625844ac9a28606d",
+        "sample_no_replacement": "12255473386c830b9da7ebc2237a5359905aec92ab64da77b98b1e95f34c398d",
     }
 
     @pytest.mark.parametrize("algorithm", sorted(GOLDEN))
@@ -511,6 +550,11 @@ class TestLoadConfig:
         assert config.scenario.region == Region(-100.0, 100.0, -100.0, 100.0)
         assert len(config.scenario.targets) == 1
         assert config.scenario.targets[0].end == 5
+
+    def test_unknown_keys_are_ignored(self):
+        # So a file written for an older version, with a retired key, loads.
+        config = load_experiment_config({"algorithm": "sample_no_replacement", "retired": 1})
+        assert config == load_experiment_config({"algorithm": "sample_no_replacement"})
 
     def test_invalid_field_values_propagate(self):
         with pytest.raises(ValueError, match="unknown algorithm"):

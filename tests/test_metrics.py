@@ -49,6 +49,14 @@ class TestConfig:
             OspaConfig(cutoff=0.0)
         assert OspaConfig().order == 1.0 and OspaConfig().cutoff == 100.0
 
+    def test_nan_order_rejected(self):
+        with pytest.raises(ValueError, match="order"):
+            OspaConfig(order=float("nan"))
+
+    def test_nan_cutoff_rejected(self):
+        with pytest.raises(ValueError, match="cutoff"):
+            OspaConfig(cutoff=float("nan"))
+
 
 class TestOspaConventions:
     def test_both_empty(self):

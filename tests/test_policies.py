@@ -1,5 +1,8 @@
 """Selection-policy, cost-accounting and wire-format tests."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,7 @@ from phdfuse.policies import (
     TransmissionEntry,
     decode_transmission,
     encode_transmission,
+    inclusion_probabilities,
     reconstruct,
     sample_with_replacement,
     sample_without_replacement,
@@ -25,7 +29,7 @@ from phdfuse.policies import (
     select_threshold,
     transmission_cost,
 )
-from phdfuse.policies import estimate_inclusion_probabilities
+from phdfuse.policies import _exponential_key_selection
 from conftest import random_mixture
 
 
@@ -106,6 +110,11 @@ class TestDeterministicSelection:
         np.testing.assert_array_equal(back.weights, [0.100001, 0.7])
         with pytest.raises(ValueError, match="non-negative"):
             select_threshold(gm, -0.1)
+
+    def test_threshold_rejects_nan_tau(self):
+        # weights > nan is all False: a NaN tau would silently send nothing.
+        with pytest.raises(ValueError, match="non-negative"):
+            select_threshold(weights_mixture([0.5, 0.7]), float("nan"))
 
     def test_threshold_can_select_nothing(self):
         gm = weights_mixture([0.05, 0.02])
@@ -212,7 +221,7 @@ class TestSampleWithReplacement:
 
 
 class TestSampleWithoutReplacement:
-    CONFIG = SamplingConfig(bandwidth=2, inclusion_replicates=2000)
+    CONFIG = SamplingConfig(bandwidth=2)
 
     def test_selects_distinct_components(self):
         gm = weights_mixture([1.0, 2.0, 3.0, 4.0])
@@ -252,27 +261,90 @@ class TestSampleWithoutReplacement:
             )
 
     def test_inclusion_probabilities_sum_to_budget(self):
-        rng = np.random.default_rng(5)
-        weights = np.array([1.0, 2.0, 3.0, 4.0])
-        inclusion = estimate_inclusion_probabilities(weights, 2, 5000, rng)
-        assert inclusion.sum() == pytest.approx(2.0, abs=1e-9)
-        assert np.all(inclusion > 0) and np.all(inclusion <= 1.0)
-        # Heavier components are selected more often.
-        assert np.all(np.diff(inclusion) > 0)
+        # Weights spanning twelve decades, as pruned mixtures never reach.
+        weights = np.geomspace(1e-12, 1.0, 40)
+        for budget in (1, 5, 20, 39):
+            inclusion = inclusion_probabilities(weights, budget, np.arange(40))
+            assert np.all(inclusion > 0.0) and np.all(inclusion <= 1.0)
+            assert inclusion.sum() == pytest.approx(budget, rel=1e-12)
+            # Heavier components are selected more often (up to roundoff
+            # where pi is 1).
+            assert np.all(np.diff(inclusion) >= -1e-15)
+
+    def test_inclusion_probabilities_need_a_budget_below_the_size(self):
+        weights = np.array([1.0, 2.0, 3.0])
+        for budget in (0, 3):
+            with pytest.raises(ValueError, match="bandwidth"):
+                inclusion_probabilities(weights, budget, np.arange(3))
+
+    def test_inclusion_probabilities_match_enumeration(self):
+        rng = np.random.default_rng(3)
+        for size in range(2, 9):
+            for spread in (1.0, 12.0):  # weights within one or twelve decades
+                weights = np.exp(rng.uniform(-spread * np.log(10.0), 0.0, size))
+                for budget in range(1, size):
+                    _, exact = enumerate_selections(weights, budget)
+                    np.testing.assert_allclose(
+                        inclusion_probabilities(weights, budget, np.arange(size)),
+                        exact,
+                        rtol=1e-12,
+                    )
 
     def test_reconstruction_is_unbiased(self):
-        # Mean reconstructed weight per component over many trials approaches
-        # the original weight (bias-corrected by inclusion probabilities).
-        gm = weights_mixture([1.0, 2.0, 3.0, 4.0])
-        rng = np.random.default_rng(12)
-        totals = np.zeros(4)
-        trials = 1500
-        for _ in range(trials):
-            back = reconstruct(sample_without_replacement(gm, self.CONFIG, rng))
-            for weight, mean in zip(back.weights, back.means):
-                totals[int(mean[0] / 2)] += weight
-        averages = totals / trials
-        np.testing.assert_allclose(averages, gm.weights, rtol=0.15)
+        # Sum over every selectable set S of P(S) * w_l / pi_l * [l in S]
+        # equals w_l, with pi computed for the rows of S only, as sent.
+        rng = np.random.default_rng(4)
+        for size, budget in ((4, 2), (6, 3), (7, 1), (8, 5)):
+            weights = np.exp(rng.uniform(-8.0, 0.0, size))
+            sets, _ = enumerate_selections(weights, budget)
+            expected = np.zeros(size)
+            for members, probability in sets.items():
+                members = np.array(members)
+                sent = weights[members] / inclusion_probabilities(weights, budget, members)
+                expected[members] += probability * sent
+            np.testing.assert_allclose(expected, weights, rtol=1e-12)
+
+    def test_inclusion_probabilities_match_replayed_selections(self):
+        weights = np.array([0.02, 0.1, 0.3, 0.5, 1.0, 1.5, 2.0, 4.0])
+        budget, replays = 3, 200_000
+        keys = -np.log(np.random.default_rng(6).random((replays, weights.size))) / weights
+        selected = np.argpartition(keys, budget - 1, axis=1)[:, :budget]
+        frequency = np.bincount(selected.ravel(), minlength=weights.size) / replays
+        exact = inclusion_probabilities(weights, budget, np.arange(weights.size))
+        standard_error = np.sqrt(exact * (1.0 - exact) / replays)
+        assert np.all(np.abs(frequency - exact) <= 4.0 * standard_error)
+
+    def test_sends_the_exponential_key_selection_with_exact_weights(self):
+        gm = weights_mixture(np.geomspace(1e-5, 3.0, 34))
+        config = SamplingConfig(bandwidth=5)
+        for seed in range(10):
+            tx = sample_without_replacement(gm, config, np.random.default_rng(seed))
+            chosen = _exponential_key_selection(gm.weights, 5, np.random.default_rng(seed))
+            back = reconstruct(tx)
+            np.testing.assert_array_equal(back.means, gm.means[chosen])
+            np.testing.assert_array_equal(
+                back.weights,
+                gm.weights[chosen] / inclusion_probabilities(gm.weights, 5, chosen),
+            )
+            assert np.all(back.weights >= gm.weights[chosen])
+
+
+def enumerate_selections(weights, budget):
+    """Every B-set the exponential-key race can select, with its probability,
+    and each component's inclusion probability, by summing successive-draw
+    probabilities over all ordered selections."""
+    sets = {}
+    for order in itertools.permutations(range(weights.size), budget):
+        probability, left = 1.0, set(range(weights.size))
+        for l in order:
+            probability *= weights[l] / math.fsum(weights[j] for j in left)
+            left.discard(l)
+        key = tuple(sorted(order))
+        sets[key] = sets.get(key, 0.0) + probability
+    inclusion = np.zeros(weights.size)
+    for members, probability in sets.items():
+        inclusion[list(members)] += probability
+    return sets, inclusion
 
 
 class TestCostAccounting:
@@ -376,9 +448,7 @@ class TestPolicyObjects:
         with_r = SampleWithReplacementPolicy(SamplingConfig(bandwidth=2))
         assert with_r.tag is PolicyTag.SAMPLE_REPLACEMENT
         assert len(with_r.select(gm, rng)) <= 2
-        without = SampleWithoutReplacementPolicy(
-            SamplingConfig(bandwidth=2, inclusion_replicates=100)
-        )
+        without = SampleWithoutReplacementPolicy(SamplingConfig(bandwidth=2))
         assert without.tag is PolicyTag.SAMPLE_NO_REPLACEMENT
         assert len(without.select(gm, rng)) == 2
 

@@ -359,6 +359,14 @@ class TestBuildScenario:
         with pytest.raises(ValueError, match="sensor"):
             ScenarioConfig(sensor_count=0)
 
+    def test_nan_clutter_density_rejected(self):
+        with pytest.raises(ValueError, match="clutter_density"):
+            ScenarioConfig(clutter_density=float("nan"))
+
+    def test_nan_step_time_rejected(self):
+        with pytest.raises(ValueError, match="step_time"):
+            ScenarioConfig(step_time=float("nan"))
+
 
 class TestSerialization:
     def test_truth_round_trip_exact(self):
