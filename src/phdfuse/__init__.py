@@ -32,7 +32,6 @@ from .phd import (
     SpawnModel,
     SpawnTerm,
     extract_targets,
-    filter_step,
     predict,
     reduce_mixture,
     update,
@@ -43,7 +42,6 @@ from .consensus import (
     consensus_round,
     metropolis_weights,
     partial_fusion,
-    run_consensus,
     validate_weights,
     waa,
 )
@@ -71,7 +69,6 @@ from .scenario import (
     TargetSchedule,
     build_scenario,
     generate_measurements,
-    simulate_measurements,
     simulate_truth,
 )
 from .metrics import OspaConfig, OspaResult, ospa
@@ -108,7 +105,6 @@ __all__ = [
     "update",
     "extract_targets",
     "reduce_mixture",
-    "filter_step",
     # consensus
     "SensorNetwork",
     "ConsensusWeights",
@@ -117,7 +113,6 @@ __all__ = [
     "waa",
     "consensus_round",
     "partial_fusion",
-    "run_consensus",
     # policies
     "PolicyTag",
     "Transmission",
@@ -142,7 +137,6 @@ __all__ = [
     "build_scenario",
     "simulate_truth",
     "generate_measurements",
-    "simulate_measurements",
     # metrics
     "OspaConfig",
     "OspaResult",

@@ -14,7 +14,7 @@ limited-bandwidth policies trade fidelity for cheaper rounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -23,13 +23,11 @@ from .gaussian import (
     GaussianMixture,
     _pairwise_mahalanobis2,
     coalesce_duplicates,
-    l2_distance,
     mixture_sum,
     scale,
 )
 from .phd import PhdConfig, reduce_mixture
 from .policies import Transmission, fuses_partially, reconstruct
-from .streams import substream
 
 __all__ = [
     "SensorNetwork",
@@ -40,9 +38,6 @@ __all__ = [
     "waa",
     "partial_fusion",
     "consensus_round",
-    "run_consensus",
-    "ConsensusRoundRecord",
-    "ConsensusRun",
 ]
 
 
@@ -124,10 +119,10 @@ class ConsensusWeights:
             raise ValueError("omega must be a square matrix")
         if fusion.size != omega.shape[0]:
             raise ValueError("fusion_weights length must match omega")
-        if np.any(omega < 0.0):
-            raise ValueError("omega entries must be non-negative")
-        if np.any(fusion < 0.0) or abs(fusion.sum() - 1.0) > 1e-9:
-            raise ValueError("fusion_weights must be non-negative and sum to 1")
+        if not np.all(np.isfinite(omega)) or np.any(omega < 0.0):
+            raise ValueError("omega entries must be finite and non-negative")
+        if not np.all(np.isfinite(fusion)) or np.any(fusion < 0.0) or abs(fusion.sum() - 1.0) > 1e-9:
+            raise ValueError("fusion_weights must be finite, non-negative and sum to 1")
         omega = omega.copy()
         fusion = fusion.copy()
         omega.flags.writeable = False
@@ -223,7 +218,7 @@ def waa(intensities: Sequence[GaussianMixture], fusion_weights: np.ndarray) -> G
     fusion = np.asarray(fusion_weights, dtype=float).reshape(-1)
     if fusion.size != len(intensities):
         raise ValueError("one fusion weight per intensity is required")
-    if np.any(fusion < 0.0):
+    if not np.all(fusion >= 0.0):
         raise ValueError("fusion weights must be non-negative")
     if abs(float(fusion.sum()) - 1.0) > 1e-12:
         raise ValueError("fusion weights must sum to 1")
@@ -377,68 +372,3 @@ def consensus_round(
             mixture = reduce_mixture(mixture, reduction)
         fused.append(mixture)
     return fused, transmissions
-
-
-@dataclass(frozen=True)
-class ConsensusRoundRecord:
-    intensities: tuple[GaussianMixture, ...]
-    transmissions: tuple[Transmission, ...]
-    distances_to_reference: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class ConsensusRun:
-    """All rounds of one consensus phase, plus the WAA reference intensity."""
-
-    initial: tuple[GaussianMixture, ...]
-    reference: GaussianMixture
-    rounds: tuple[ConsensusRoundRecord, ...] = field(default_factory=tuple)
-
-    @property
-    def final(self) -> tuple[GaussianMixture, ...]:
-        return self.rounds[-1].intensities if self.rounds else self.initial
-
-
-def run_consensus(
-    intensities: Sequence[GaussianMixture],
-    weights: ConsensusWeights,
-    policy,
-    rounds: int,
-    master_seed: int = 0,
-    stream_labels: Sequence[int | str] = (),
-    reduction: PhdConfig | None = None,
-    track_distances: bool = False,
-    match_threshold: float = 15.0,
-) -> ConsensusRun:
-    """Run ``rounds`` consensus rounds with per-sensor, per-round random streams.
-
-    Stream naming: sensor j in round l draws from
-    ``substream(master_seed, *stream_labels, "consensus", l, j)``, so results
-    are reproducible and independent across sensors and rounds.  With
-    ``track_distances`` each round records every sensor's L2 distance to the
-    initial WAA.
-    """
-    if rounds < 0:
-        raise ValueError("rounds must be non-negative")
-    current = list(intensities)
-    reference = waa(current, weights.fusion_weights)
-    records: list[ConsensusRoundRecord] = []
-    for l in range(1, rounds + 1):
-        rngs = [
-            substream(master_seed, *stream_labels, "consensus", l, j)
-            for j in range(len(current))
-        ]
-        current, transmissions = consensus_round(
-            current, weights, policy, rngs, reduction, match_threshold=match_threshold
-        )
-        distances = None
-        if track_distances:
-            distances = np.array([l2_distance(gm, reference) for gm in current])
-        records.append(
-            ConsensusRoundRecord(
-                intensities=tuple(current),
-                transmissions=tuple(transmissions),
-                distances_to_reference=distances,
-            )
-        )
-    return ConsensusRun(initial=tuple(intensities), reference=reference, rounds=tuple(records))

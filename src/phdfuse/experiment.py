@@ -119,11 +119,7 @@ class ExperimentConfig:
         return self.alpha if ALGORITHMS[self.algorithm].communicates else 0
 
     def manifest_dict(self) -> dict:
-        payload = asdict(self)
-        payload["scenario"] = asdict(self.scenario)
-        payload["phd"] = asdict(self.phd)
-        payload["ospa"] = asdict(self.ospa)
-        return payload
+        return asdict(self)
 
 
 @dataclass(frozen=True)

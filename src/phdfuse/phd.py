@@ -40,7 +40,6 @@ __all__ = [
     "update",
     "extract_targets",
     "reduce_mixture",
-    "filter_step",
 ]
 
 StateFunction = Callable[[np.ndarray], np.ndarray]
@@ -112,7 +111,7 @@ class SpawnTerm:
         offset = np.asarray(self.offset, dtype=float).reshape(-1)
         if F.shape[0] != F.shape[1] or Q.shape != F.shape or offset.size != F.shape[0]:
             raise ValueError("spawn term shapes are inconsistent")
-        if self.weight < 0.0:
+        if not self.weight >= 0.0:
             raise ValueError("spawn weight must be non-negative")
         _check_psd(Q, "spawn Q")
         object.__setattr__(self, "weight", float(self.weight))
@@ -332,18 +331,3 @@ def extract_targets(posterior: GaussianMixture, config: PhdConfig) -> np.ndarray
 def reduce_mixture(intensity: GaussianMixture, config: PhdConfig) -> GaussianMixture:
     """Prune, then merge, then cap."""
     return cap(merge(prune(intensity, config.prune_threshold), config.merge_threshold), config.max_components)
-
-
-def filter_step(
-    posterior: GaussianMixture,
-    motion: MotionModel,
-    birth: BirthModel,
-    spawn: SpawnModel,
-    sensor: SensorModel,
-    measurements: Sequence[np.ndarray] | np.ndarray,
-    config: PhdConfig,
-) -> GaussianMixture:
-    """One full predict / update / reduce cycle."""
-    predicted = predict(posterior, motion, birth, spawn)
-    updated = update(predicted, sensor, measurements, joseph=config.joseph_update)
-    return reduce_mixture(updated, config)

@@ -36,7 +36,6 @@ __all__ = [
     "step_ground_truth",
     "simulate_truth",
     "generate_measurements",
-    "simulate_measurements",
     "default_targets",
     "default_scenario_config",
     "default_network",
@@ -333,15 +332,6 @@ def generate_measurements(
         else:
             per_sensor.append(np.empty((0, 2)))
     return MeasurementFrame(timestep=frame.timestep, per_sensor=tuple(per_sensor))
-
-
-def simulate_measurements(
-    truth: GroundTruth,
-    sensors: Sequence[SensorModel],
-    config: ScenarioConfig,
-    rng: np.random.Generator,
-) -> list[MeasurementFrame]:
-    return [generate_measurements(frame, sensors, config, rng) for frame in truth.frames]
 
 
 # Six-sensor topology: sensor pairs that share a bidirectional link (0-indexed).

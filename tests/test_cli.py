@@ -14,7 +14,12 @@ import pytest
 import phdfuse
 import phdfuse.experiment as experiment
 from phdfuse.cli import main
-from phdfuse.scenario import generate_measurements, read_measurements, read_truth
+from phdfuse.scenario import (
+    generate_measurements,
+    read_measurements,
+    read_truth,
+    simulate_truth,
+)
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -175,18 +180,36 @@ def test_simulate_writes_replayable_files(tiny_config, tmp_path):
     assert len(frames[0].per_sensor) == 6
 
 
-def test_simulate_writes_the_measurements_run_zero_draws(tiny_config, tmp_path, monkeypatch):
-    drawn = []
+@pytest.mark.parametrize("truth_process_noise", [False, True])
+def test_simulate_writes_the_measurements_run_zero_draws(
+    tiny_config, tmp_path, monkeypatch, truth_process_noise
+):
+    payload = json.loads(tiny_config.read_text())
+    payload["scenario_overrides"]["truth_process_noise"] = truth_process_noise
+    tiny_config.write_text(json.dumps(payload))
+    truths, drawn = [], []
+
+    def recording_truth(*args, **kwargs):
+        truths.append(simulate_truth(*args, **kwargs))
+        return truths[-1]
 
     def recording(*args, **kwargs):
         drawn.append(generate_measurements(*args, **kwargs))
         return drawn[-1]
 
+    monkeypatch.setattr(experiment, "simulate_truth", recording_truth)
     monkeypatch.setattr(experiment, "generate_measurements", recording)
     assert main(["run", "--config", str(tiny_config), "--output-dir", str(tmp_path / "run")]) == 0
+    assert len(truths) == 1
     assert [frame.timestep for frame in drawn] == [1, 2, 3]
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(tiny_config), "--output-dir", str(out)]) == 0
+    with open(out / "truth.txt") as handle:
+        truth = read_truth(handle, horizon=3)
+    for written, expected in zip(truth.frames, truths[0].frames, strict=True):
+        assert written.timestep == expected.timestep
+        assert written.ids == expected.ids
+        np.testing.assert_array_equal(written.states, expected.states)
     with open(out / "measurements.txt") as handle:
         frames = read_measurements(handle, horizon=3, sensor_count=6)
     for written, expected in zip(frames, drawn, strict=True):

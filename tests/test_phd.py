@@ -13,7 +13,6 @@ from phdfuse.phd import (
     SpawnModel,
     SpawnTerm,
     extract_targets,
-    filter_step,
     predict,
     reduce_mixture,
     update,
@@ -65,6 +64,8 @@ class TestModelValidation:
     def test_spawn_term(self):
         with pytest.raises(ValueError, match="non-negative"):
             SpawnTerm(-0.1, np.eye(2), np.zeros(2), np.eye(2))
+        with pytest.raises(ValueError, match="non-negative"):
+            SpawnTerm(float("nan"), np.eye(2), np.zeros(2), np.eye(2))
         with pytest.raises(ValueError, match="inconsistent"):
             SpawnTerm(0.1, np.eye(2), np.zeros(3), np.eye(2))
 
@@ -316,58 +317,39 @@ class TestExtractReduce:
         assert set(np.round(out.weights, 12)) == {1.0, 0.6}
 
 
-class TestFilterStep:
-    def test_composition(self, rng):
-        posterior = random_mixture(rng, dim=2, max_components=4)
-        motion = make_motion()
-        birth = BirthModel(single_gaussian(0.2, [0.0, 0.0], 4.0 * np.eye(2)))
-        spawn = SpawnModel()
-        sensor = make_sensor()
-        Z = rng.uniform(-20, 20, size=(3, 1))
-        config = PhdConfig(joseph_update=True)
-        manual = reduce_mixture(
-            update(predict(posterior, motion, birth, spawn), sensor, Z, joseph=True),
-            config,
+def test_tracks_kalman_filter_on_clean_single_target(rng):
+    # With guaranteed survival/detection, no clutter and a zero-weight
+    # birth, the recursion collapses to a Kalman filter; compare against
+    # a hand-rolled filter using np.linalg.inv over ten steps.
+    F = np.array([[1.0, 1.0], [0.0, 1.0]])
+    Q = np.diag([0.01, 0.01])
+    H = np.array([[1.0, 0.0]])
+    R = np.array([[1.0]])
+    motion = MotionModel(F, Q, constant(1.0))
+    sensor = SensorModel(H, R, constant(1.0), constant(0.0))
+    birth = BirthModel(single_gaussian(0.0, [100.0, 0.0], np.eye(2)))
+    config = PhdConfig(prune_threshold=1e-12, merge_threshold=1e-9)
+
+    truth = np.array([0.0, 1.0])
+    m = np.array([0.5, 0.9])
+    P = np.eye(2)
+    posterior = single_gaussian(1.0, m, P)
+    for _ in range(10):
+        truth = F @ truth
+        z = H @ truth + 0.5 * rng.standard_normal(1)
+        # Hand Kalman step.
+        m = F @ m
+        P = F @ P @ F.T + Q
+        S = H @ P @ H.T + R
+        K = P @ H.T @ np.linalg.inv(S)
+        m = m + K @ (z - H @ m)
+        P = (np.eye(2) - K @ H) @ P
+
+        predicted = predict(posterior, motion, birth, SpawnModel())
+        posterior = reduce_mixture(update(predicted, sensor, z.reshape(1, 1)), config)
+        assert posterior.size == 1
+        assert posterior.weights[0] == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(posterior.means[0], m, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(
+            posterior.covariances[0], 0.5 * (P + P.T), rtol=0, atol=1e-8
         )
-        out = filter_step(posterior, motion, birth, spawn, sensor, Z, config)
-        np.testing.assert_array_equal(out.weights, manual.weights)
-        np.testing.assert_array_equal(out.means, manual.means)
-        np.testing.assert_array_equal(out.covariances, manual.covariances)
-
-    def test_tracks_kalman_filter_on_clean_single_target(self, rng):
-        # With guaranteed survival/detection, no clutter and a zero-weight
-        # birth, the recursion collapses to a Kalman filter; compare against
-        # a hand-rolled filter using np.linalg.inv over ten steps.
-        F = np.array([[1.0, 1.0], [0.0, 1.0]])
-        Q = np.diag([0.01, 0.01])
-        H = np.array([[1.0, 0.0]])
-        R = np.array([[1.0]])
-        motion = MotionModel(F, Q, constant(1.0))
-        sensor = SensorModel(H, R, constant(1.0), constant(0.0))
-        birth = BirthModel(single_gaussian(0.0, [100.0, 0.0], np.eye(2)))
-        config = PhdConfig(prune_threshold=1e-12, merge_threshold=1e-9)
-
-        truth = np.array([0.0, 1.0])
-        m = np.array([0.5, 0.9])
-        P = np.eye(2)
-        posterior = single_gaussian(1.0, m, P)
-        for _ in range(10):
-            truth = F @ truth
-            z = H @ truth + 0.5 * rng.standard_normal(1)
-            # Hand Kalman step.
-            m = F @ m
-            P = F @ P @ F.T + Q
-            S = H @ P @ H.T + R
-            K = P @ H.T @ np.linalg.inv(S)
-            m = m + K @ (z - H @ m)
-            P = (np.eye(2) - K @ H) @ P
-
-            posterior = filter_step(
-                posterior, motion, birth, SpawnModel(), sensor, z.reshape(1, 1), config
-            )
-            assert posterior.size == 1
-            assert posterior.weights[0] == pytest.approx(1.0, abs=1e-12)
-            np.testing.assert_allclose(posterior.means[0], m, rtol=0, atol=1e-8)
-            np.testing.assert_allclose(
-                posterior.covariances[0], 0.5 * (P + P.T), rtol=0, atol=1e-8
-            )

@@ -22,7 +22,6 @@ from phdfuse.scenario import (
     process_noise,
     read_measurements,
     read_truth,
-    simulate_measurements,
     simulate_truth,
     step_ground_truth,
     transition_matrix,
@@ -215,12 +214,16 @@ class TestMeasurements:
     def test_reproducible(self):
         scenario = build_scenario()
         truth = simulate_truth(scenario.config)
-        first = simulate_measurements(
-            truth, scenario.sensors, scenario.config, np.random.default_rng(11)
-        )
-        second = simulate_measurements(
-            truth, scenario.sensors, scenario.config, np.random.default_rng(11)
-        )
+        rng = np.random.default_rng(11)
+        first = [
+            generate_measurements(frame, scenario.sensors, scenario.config, rng)
+            for frame in truth.frames
+        ]
+        rng = np.random.default_rng(11)
+        second = [
+            generate_measurements(frame, scenario.sensors, scenario.config, rng)
+            for frame in truth.frames
+        ]
         for fa, fb in zip(first, second):
             for sa, sb in zip(fa.per_sensor, fb.per_sensor):
                 np.testing.assert_array_equal(sa, sb)
@@ -229,9 +232,11 @@ class TestMeasurements:
         config = ScenarioConfig(detection_probability=1.0, clutter_density=0.0)
         scenario = build_scenario(config)
         truth = simulate_truth(config)
-        frames = simulate_measurements(
-            truth, scenario.sensors, config, np.random.default_rng(5)
-        )
+        rng = np.random.default_rng(5)
+        frames = [
+            generate_measurements(frame, scenario.sensors, config, rng)
+            for frame in truth.frames
+        ]
         for frame, truth_frame in zip(frames, truth.frames):
             for block in frame.per_sensor:
                 assert block.shape == (truth_frame.cardinality, 2)
@@ -243,9 +248,11 @@ class TestMeasurements:
         config = ScenarioConfig(detection_probability=1.0, clutter_density=0.0)
         scenario = build_scenario(config)
         truth = simulate_truth(config)
-        frames = simulate_measurements(
-            truth, scenario.sensors, config, np.random.default_rng(17)
-        )
+        rng = np.random.default_rng(17)
+        frames = [
+            generate_measurements(frame, scenario.sensors, config, rng)
+            for frame in truth.frames
+        ]
         residuals = []
         for frame, truth_frame in zip(frames, truth.frames):
             for block in frame.per_sensor:
@@ -389,9 +396,11 @@ class TestSerialization:
     def test_measurements_round_trip_exact(self):
         scenario = build_scenario()
         truth = simulate_truth(scenario.config)
-        frames = simulate_measurements(
-            truth, scenario.sensors, scenario.config, np.random.default_rng(31)
-        )
+        rng = np.random.default_rng(31)
+        frames = [
+            generate_measurements(frame, scenario.sensors, scenario.config, rng)
+            for frame in truth.frames
+        ]
         buffer = io.StringIO()
         write_measurements(frames, buffer)
         buffer.seek(0)
