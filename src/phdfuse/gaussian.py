@@ -58,6 +58,18 @@ def _check_covariances(covariances: np.ndarray) -> None:
         raise ValueError("every covariance must be positive definite") from exc
 
 
+def _check_values(weights: np.ndarray, means: np.ndarray, covariances: np.ndarray) -> None:
+    """Reject non-finite or negative weights and non-finite means or covariances."""
+    if not np.isfinite(weights).all():
+        raise ValueError("weights must be finite")
+    if (weights < 0.0).any():
+        raise ValueError("weights must be non-negative")
+    if not np.isfinite(means).all():
+        raise ValueError("means must be finite")
+    if not np.isfinite(covariances).all():
+        raise ValueError("covariances must be finite")
+
+
 @dataclass(frozen=True)
 class GaussianMixture:
     """An intensity ``v(x) = sum_l weights[l] * N(x; means[l], covariances[l])``.
@@ -76,28 +88,6 @@ class GaussianMixture:
     dimension: int = field(default=-1)
 
     def __post_init__(self) -> None:
-        self._validate(check_covariances=True)
-
-    @classmethod
-    def _with_checked_covariances(
-        cls, weights: np.ndarray, means: np.ndarray, covariances: np.ndarray, dimension: int
-    ) -> "GaussianMixture":
-        """Build a mixture without re-running ``_check_covariances``.
-
-        Only for a covariance stack that is, bitwise, a subset, repeat or
-        concatenation of stacks that already passed that check (each matrix is
-        checked on its own, so such a stack passes it again).  Shapes, weights,
-        means and finiteness are still checked.
-        """
-        gm = object.__new__(cls)
-        object.__setattr__(gm, "weights", weights)
-        object.__setattr__(gm, "means", means)
-        object.__setattr__(gm, "covariances", covariances)
-        object.__setattr__(gm, "dimension", dimension)
-        gm._validate(check_covariances=False)
-        return gm
-
-    def _validate(self, check_covariances: bool) -> None:
         weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
         means = np.asarray(self.means, dtype=float)
         covariances = np.asarray(self.covariances, dtype=float)
@@ -115,19 +105,44 @@ class GaussianMixture:
             raise ValueError(f"state dimension must be positive, got {dim}")
         means = means.reshape(count, dim) if count else means.reshape(0, dim)
         covariances = covariances.reshape(count, dim, dim) if count else covariances.reshape(0, dim, dim)
-        if not np.all(np.isfinite(weights)):
-            raise ValueError("weights must be finite")
-        if np.any(weights < 0.0):
-            raise ValueError("weights must be non-negative")
-        if not np.all(np.isfinite(means)):
-            raise ValueError("means must be finite")
-        if not np.all(np.isfinite(covariances)):
-            raise ValueError("covariances must be finite")
-        if count and check_covariances:
+        _check_values(weights, means, covariances)
+        if count:
             _check_covariances(covariances)
         object.__setattr__(self, "weights", _as_readonly(weights))
         object.__setattr__(self, "means", _as_readonly(means))
         object.__setattr__(self, "covariances", _as_readonly(covariances))
+
+    @classmethod
+    def _with_checked_covariances(
+        cls, weights: np.ndarray, means: np.ndarray, covariances: np.ndarray, dimension: int
+    ) -> "GaussianMixture":
+        """Adopt float arrays as a mixture without copying them or re-running
+        ``_check_covariances``.
+
+        Only for a covariance stack that is, bitwise, a subset, repeat or
+        concatenation of stacks that already passed that check (each matrix is
+        checked on its own, so such a stack passes it again).  The arrays
+        themselves are marked read-only, so they must be ones the caller just
+        built, or arrays of an existing mixture.  Shapes, weights, means and
+        finiteness are still checked.
+        """
+        count = len(weights)
+        if (
+            weights.shape != (count,)
+            or means.shape != (count, dimension)
+            or covariances.shape != (count, dimension, dimension)
+        ):
+            raise ValueError(
+                f"shapes {weights.shape}, {means.shape} and {covariances.shape} do not form "
+                f"a mixture of dimension {dimension}"
+            )
+        _check_values(weights, means, covariances)
+        gm = object.__new__(cls)
+        for name, array in (("weights", weights), ("means", means), ("covariances", covariances)):
+            array.flags.writeable = False
+            object.__setattr__(gm, name, array)
+        object.__setattr__(gm, "dimension", dimension)
+        return gm
 
     @classmethod
     def empty(cls, dimension: int) -> "GaussianMixture":
@@ -201,9 +216,6 @@ def _pairwise_cross_density(f: GaussianMixture, g: GaussianMixture) -> np.ndarra
     return np.exp(-0.5 * (quad + logdet + dim * np.log(2.0 * np.pi)))
 
 
-_ROW_BLOCK = 32
-
-
 def _pairwise_mahalanobis2(
     centres: np.ndarray, covariances: np.ndarray, points: np.ndarray
 ) -> np.ndarray:
@@ -211,17 +223,28 @@ def _pairwise_mahalanobis2(
     ``(points[i] - centres[j])^T covariances[j]^{-1} (points[i] - centres[j])``,
     each row in the metric of its own centre.
 
-    Each covariance is inverted once, and rows are filled in blocks of
-    ``_ROW_BLOCK`` so the temporaries stay ``O(_ROW_BLOCK * I * d)`` rather
-    than ``O(J * I * d)``.
+    Each covariance is whitened by its Cholesky factor, ``W_j = L_j^{-1}`` with
+    ``covariances[j] = L_j L_j^T``, so the entry is ``|W_j (points[i] - o) -
+    W_j (centres[j] - o)|^2`` for any origin ``o``.  One GEMM forms every such
+    difference: the left side stacks the rows ``[W_j | -W_j (centres[j] - o)]``
+    and the right side is the shifted points with a row of ones below.  The
+    origin is the points' mean, so the two terms of each difference have the
+    size of the points' spread, not of their distance from the origin, and
+    the result agrees with a direct ``solve`` to about ``1e-13`` relative
+    wherever a distance is not tiny next to that spread.  (Expanding
+    ``x^T A x - 2 c^T A x + c^T A c`` instead cancels terms of the size of
+    the squared offset and is not accurate.)
     """
-    inverses = np.linalg.inv(covariances)
-    out = np.empty((centres.shape[0], points.shape[0]))
-    for start in range(0, centres.shape[0], _ROW_BLOCK):
-        stop = start + _ROW_BLOCK
-        diff = points[np.newaxis, :, :] - centres[start:stop, np.newaxis, :]
-        out[start:stop] = np.einsum("bid,bid->bi", diff @ inverses[start:stop], diff)
-    return out
+    count, dim = centres.shape
+    origin = points.mean(axis=0)
+    whiten = np.linalg.inv(np.linalg.cholesky(covariances))
+    left = np.empty((count, dim, dim + 1))
+    left[:, :, :dim] = whiten
+    left[:, :, dim] = -np.einsum("jde,je->jd", whiten, centres - origin)
+    right = np.ones((dim + 1, points.shape[0]))
+    right[:dim] = (points - origin).T
+    diff = (left.reshape(count * dim, dim + 1) @ right).reshape(count, dim, -1)
+    return np.einsum("jdi,jdi->ji", diff, diff)
 
 
 def symmetrize(matrices: np.ndarray) -> np.ndarray:
@@ -251,10 +274,10 @@ def mixture_sum(mixtures: Sequence[GaussianMixture]) -> GaussianMixture:
 
 
 def scale(gm: GaussianMixture, factor: float) -> GaussianMixture:
-    """Multiply the intensity by a non-negative scalar."""
+    """Multiply the intensity by a finite, non-negative scalar."""
     factor = float(factor)
-    if factor < 0.0:
-        raise ValueError(f"scale factor must be non-negative, got {factor}")
+    if not factor >= 0.0 or not np.isfinite(factor):
+        raise ValueError(f"scale factor must be finite and non-negative, got {factor}")
     if gm.size == 0:
         return gm
     return GaussianMixture._with_checked_covariances(
@@ -271,6 +294,8 @@ def _subset(gm: GaussianMixture, index: np.ndarray) -> GaussianMixture:
 
 def prune(gm: GaussianMixture, threshold: float) -> GaussianMixture:
     """Drop components whose weight is below ``threshold``."""
+    if not threshold >= 0.0:
+        raise ValueError(f"prune threshold must be non-negative, got {threshold}")
     if gm.size == 0:
         return gm
     keep = gm.weights >= threshold
@@ -292,6 +317,12 @@ def merge(gm: GaussianMixture, merge_threshold: float) -> GaussianMixture:
     neighbour a few of its own standard deviations away survives.  Total
     weight is preserved exactly up to floating-point summation.
 
+    The distances come from ``_pairwise_mahalanobis2``: each candidate's
+    Cholesky whitening, applied in one GEMM to the means shifted by their
+    mean.  Near thresholds like the default 15 they agree with a direct
+    ``solve`` to about ``1e-13`` relative, so only a distance that close to
+    the threshold could land on the other side of it.
+
     Groups of equal size are moment-matched together, one batch per size.
     Each group's members are summed in index order with the same numpy and
     BLAS calls as one group on its own, so the result does not depend on
@@ -305,8 +336,8 @@ def merge(gm: GaussianMixture, merge_threshold: float) -> GaussianMixture:
     count = gm.size
     # close[lead, j]: component j lies within the threshold of lead, in j's metric.
     close = _pairwise_mahalanobis2(means, covs, means).T <= merge_threshold
-    # A lead always joins its own group, as with ``solve``, even if its
-    # inverse overflowed and made its own distance NaN.
+    # A lead always joins its own group, even if its whitening overflowed and
+    # made its own distance NaN.
     np.fill_diagonal(close, True)
     # Bit j of a row's integer is close[lead, j]; ``alive`` holds the unmerged set.
     row_bytes = (count + 7) // 8

@@ -84,6 +84,68 @@ class TestValidation:
             gm.means[0, 0] = 1.0
 
 
+class TestConstructionAliasing:
+    """The public constructor copies; operations adopt the arrays they build."""
+
+    def test_public_constructor_copies_caller_arrays(self, rng):
+        weights = rng.uniform(0.5, 1.0, size=3)
+        means = rng.uniform(-5.0, 5.0, size=(3, 2))
+        covariances = np.stack([np.eye(2)] * 3)
+        gm = GaussianMixture(weights, means, covariances, dimension=2)
+        stored = [array.copy() for array in (gm.weights, gm.means, gm.covariances)]
+        for array in (weights, means, covariances):
+            assert array.flags.writeable
+            array[...] = 7.0
+        for array, before in zip((gm.weights, gm.means, gm.covariances), stored):
+            assert not array.flags.writeable
+            np.testing.assert_array_equal(array, before)
+
+    OPERATIONS = {
+        "prune": lambda gm: prune(gm, 0.3),
+        "merge": lambda gm: merge(gm, 4.0),
+        "cap": lambda gm: cap(gm, 3),
+        "scale": lambda gm: scale(gm, 0.5),
+        "mixture_sum": lambda gm: mixture_sum([gm, gm]),
+        "coalesce_duplicates": lambda gm: coalesce_duplicates(mixture_sum([gm, gm])),
+    }
+
+    @pytest.mark.parametrize("name", sorted(OPERATIONS))
+    def test_operations_return_read_only_arrays(self, name):
+        gm = clustered_mixture(np.random.default_rng(11), 12, 2)
+        before = [array.tobytes() for array in (gm.weights, gm.means, gm.covariances)]
+        out = self.OPERATIONS[name](gm)
+        assert out is not gm
+        for array in (out.weights, out.means, out.covariances):
+            assert not array.flags.writeable
+        assert [array.tobytes() for array in (gm.weights, gm.means, gm.covariances)] == before
+
+    def test_internal_constructor_adopts_its_arrays(self):
+        weights, means, covariances = np.array([0.5, 1.0]), np.zeros((2, 2)), np.stack([np.eye(2)] * 2)
+        gm = GaussianMixture._with_checked_covariances(weights, means, covariances, 2)
+        assert gm.weights is weights and gm.means is means and gm.covariances is covariances
+        assert not (weights.flags.writeable or means.flags.writeable or covariances.flags.writeable)
+        assert gm.dimension == 2 and gm.size == 2
+
+    @pytest.mark.parametrize(
+        "weights, means, covariances, match",
+        [
+            ([np.nan, 1.0], np.zeros((2, 2)), np.eye(2), "weights must be finite"),
+            ([np.inf, 1.0], np.zeros((2, 2)), np.eye(2), "weights must be finite"),
+            ([-0.5, 1.0], np.zeros((2, 2)), np.eye(2), "non-negative"),
+            ([0.5, 1.0], [[0.0, np.nan], [0.0, 0.0]], np.eye(2), "means must be finite"),
+            ([0.5, 1.0], np.zeros((2, 2)), [[np.inf, 0.0], [0.0, 1.0]], "covariances must be finite"),
+            ([0.5, 1.0], np.zeros((2, 3)), np.eye(2), "shapes"),
+            ([0.5, 1.0], np.zeros((2, 2)), np.eye(3), "shapes"),
+            ([[0.5, 1.0]], np.zeros((2, 2)), np.eye(2), "shapes"),
+        ],
+    )
+    def test_internal_constructor_still_checks_values(self, weights, means, covariances, match):
+        weights, means = np.asarray(weights, dtype=float), np.asarray(means, dtype=float)
+        covariances = np.stack([np.asarray(covariances, dtype=float)] * 2)
+        with pytest.raises(ValueError, match=match):
+            GaussianMixture._with_checked_covariances(weights, means, covariances, 2)
+
+
 class TestEvaluate:
     def test_standard_normal_at_origin(self):
         gm = single_gaussian(1.0, [0.0], [[1.0]])
@@ -170,6 +232,13 @@ class TestPrune:
         gm = random_mixture(rng)
         assert prune(gm, 0.0) is gm
         assert prune(GaussianMixture.empty(2), 0.5).size == 0
+
+    @pytest.mark.parametrize("threshold", [-0.1, np.nan])
+    def test_rejects_negative_or_nan_threshold(self, rng, threshold):
+        # weights >= nan is all False, so a NaN threshold would drop every component.
+        for gm in (random_mixture(rng), GaussianMixture.empty(2)):
+            with pytest.raises(ValueError, match="non-negative"):
+                prune(gm, threshold)
 
 
 class TestMerge:
@@ -469,6 +538,50 @@ class TestBitExactReduction:
         np.testing.assert_allclose(dist2, expected, rtol=1e-10)
 
     @pytest.mark.parametrize("dim", [1, 2, 4])
+    def test_pairwise_kernel_matches_solve_far_from_origin(self, dim):
+        # Centres and points about 1e4 from the origin, covariances down to
+        # 1e-2 scale, and ten points within about a tenth of a standard
+        # deviation of a centre.  Expanding x'Ax - 2c'Ax + c'Ac cancels terms
+        # of about 1e10 here and misses by far more than the tolerance.
+        count = 40
+        rng = np.random.default_rng(500 + dim)
+        offset = rng.choice([-1.0, 1.0], size=dim) * rng.uniform(0.8e4, 1.2e4, size=dim)
+        centres = offset + rng.uniform(-5.0, 5.0, size=(count, dim))
+        a = rng.standard_normal((count, dim, dim))
+        covariances = (a @ np.swapaxes(a, 1, 2) / dim + 0.5 * np.eye(dim)) * 10.0 ** rng.uniform(
+            -2.0, 0.0, size=(count, 1, 1)
+        )
+        points = np.concatenate(
+            [
+                offset + rng.uniform(-5.0, 5.0, size=(30, dim)),
+                centres[:10] + 1e-2 * rng.standard_normal((10, dim)),
+            ]
+        )
+        dist2 = _pairwise_mahalanobis2(centres, covariances, points)
+        diff = points[np.newaxis, :, :] - centres[:, np.newaxis, :]
+        solved = np.linalg.solve(covariances, np.swapaxes(diff, 1, 2))
+        expected = np.einsum("jid,jdi->ji", diff, solved)
+        np.testing.assert_allclose(dist2, expected, rtol=1e-10)
+
+    def test_four_dimensional_pair_exactly_at_threshold(self):
+        # Power-of-two variances and integer offsets keep every step exact:
+        # the whitened difference is (1, 1, -1, 2), so the squared distance
+        # is exactly 7 in either component's metric.
+        covariance = np.diag([4.0, 1.0, 16.0, 0.25])
+        gm = GaussianMixture(
+            weights=np.array([0.75, 0.5]),
+            means=np.array([[1024.0, -2048.0, 512.0, 3.0], [1026.0, -2047.0, 508.0, 4.0]]),
+            covariances=np.stack([covariance, covariance]),
+            dimension=4,
+        )
+        dist2 = _pairwise_mahalanobis2(gm.means, gm.covariances, gm.means)
+        np.testing.assert_array_equal(dist2, [[0.0, 7.0], [7.0, 0.0]])
+        assert merge(gm, 7.0).size == 1
+        assert merge(gm, np.nextafter(7.0, 0.0)).size == 2
+        for threshold in (7.0, np.nextafter(7.0, 0.0)):
+            assert_bitwise_equal(merge(gm, threshold), reference_merge(gm, threshold))
+
+    @pytest.mark.parametrize("dim", [1, 2, 4])
     @pytest.mark.parametrize("size", SIZES)
     def test_coalesce_matches_reference_loop(self, size, dim):
         rng = np.random.default_rng(size + 100 * dim)
@@ -499,11 +612,12 @@ class TestBitExactReduction:
         assert out.size == 2 and out.weights[0] == 0.375
 
     def test_internal_paths_still_reject_bad_values(self, rng):
-        gm = random_mixture(rng)
-        with pytest.raises(ValueError, match="finite"):
-            scale(gm, np.inf)
-        with pytest.raises(ValueError, match="finite"):
-            scale(gm, np.nan)
+        # scale rejects a non-finite factor up front, before its internal
+        # build, for an empty mixture as for any other.
+        for gm in (random_mixture(rng), GaussianMixture.empty(2)):
+            for factor in (np.nan, np.inf, -np.inf):
+                with pytest.raises(ValueError, match="finite and non-negative"):
+                    scale(gm, factor)
 
 
 class TestL2:

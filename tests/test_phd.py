@@ -317,6 +317,27 @@ class TestExtractReduce:
         assert set(np.round(out.weights, 12)) == {1.0, 0.6}
 
 
+def test_predict_and_update_return_read_only_arrays(rng):
+    prior = random_mixture(rng, dim=2, min_components=3)
+    birth = BirthModel(single_gaussian(0.3, [0.0, 0.0], 9.0 * np.eye(2)))
+    spawn = SpawnModel((SpawnTerm(0.1, 2.0 * np.eye(2), np.array([1.0, 1.0]), np.eye(2)),))
+    inputs = [prior, birth.intensity]
+    snapshot = lambda gm: [array.tobytes() for array in (gm.weights, gm.means, gm.covariances)]
+    before = [snapshot(gm) for gm in inputs]
+    predicted = predict(prior, make_motion(), birth, spawn)
+    predicted_bytes = snapshot(predicted)
+    outputs = [
+        predicted,
+        update(predicted, make_sensor(), np.array([[0.5], [2.4], [-3.0]])),
+        update(predicted, make_sensor(), np.empty((0, 1))),
+    ]
+    for out in outputs:
+        for array in (out.weights, out.means, out.covariances):
+            assert not array.flags.writeable
+    assert [snapshot(gm) for gm in inputs] == before
+    assert snapshot(predicted) == predicted_bytes
+
+
 def test_tracks_kalman_filter_on_clean_single_target(rng):
     # With guaranteed survival/detection, no clutter and a zero-weight
     # birth, the recursion collapses to a Kalman filter; compare against
