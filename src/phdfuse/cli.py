@@ -43,34 +43,27 @@ from .streams import substream
 __all__ = ["main"]
 
 
+# Each override flag once: (flag, ExperimentConfig field, type, help).
+_OVERRIDE_FLAGS = (
+    ("--algorithm", "algorithm", str, "algorithm override"),
+    ("--alpha", "alpha", int, "consensus round count override"),
+    ("--bandwidth", "bandwidth", int, "component budget override"),
+    ("--runs", "mc_runs", int, "Monte Carlo run count override"),
+    ("--seed", "master_seed", int, "master seed override"),
+    ("--output-dir", "output_dir", lambda text: str(Path(text)), "output directory"),
+    ("--parallelism", "parallelism", int, "concurrent run limit"),
+)
+
+
 def _add_override_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, default=None, help="JSON experiment config")
-    parser.add_argument("--algorithm", default=None, help="algorithm override")
-    parser.add_argument("--alpha", type=int, default=None, help="consensus round count override")
-    parser.add_argument("--bandwidth", type=int, default=None, help="component budget override")
-    parser.add_argument("--runs", type=int, default=None, help="Monte Carlo run count override")
-    parser.add_argument("--seed", type=int, default=None, help="master seed override")
-    parser.add_argument("--output-dir", type=Path, default=None, help="output directory")
-    parser.add_argument("--parallelism", type=int, default=None, help="concurrent run limit")
+    for flag, name, kind, text in _OVERRIDE_FLAGS:
+        parser.add_argument(flag, dest=name, type=kind, default=None, help=text)
 
 
 def _collect_overrides(args: argparse.Namespace) -> dict:
-    overrides = {}
-    if args.algorithm is not None:
-        overrides["algorithm"] = args.algorithm
-    if args.alpha is not None:
-        overrides["alpha"] = args.alpha
-    if args.bandwidth is not None:
-        overrides["bandwidth"] = args.bandwidth
-    if args.runs is not None:
-        overrides["mc_runs"] = args.runs
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.output_dir is not None:
-        overrides["output_dir"] = str(args.output_dir)
-    if args.parallelism is not None:
-        overrides["parallelism"] = args.parallelism
-    return overrides
+    values = {name: getattr(args, name) for _, name, _, _ in _OVERRIDE_FLAGS}
+    return {name: value for name, value in values.items() if value is not None}
 
 
 def _load(args: argparse.Namespace) -> ExperimentConfig:

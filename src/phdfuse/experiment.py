@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -33,10 +33,12 @@ from .consensus import consensus_round
 from .gaussian import GaussianMixture
 from .metrics import OspaConfig, ospa, time_averaged_network_ospa
 from .phd import PhdConfig, extract_targets, predict, reduce_mixture, update
-from .policies import ALGORITHMS, lookup_algorithm, transmission_cost
+from .policies import ALGORITHMS, SampleWithReplacementPolicy, lookup_algorithm, transmission_cost
 from .scenario import (
+    Region,
     Scenario,
     ScenarioConfig,
+    TargetSchedule,
     build_scenario,
     generate_measurements,
     simulate_truth,
@@ -62,17 +64,6 @@ __all__ = [
 ]
 
 CSV_SCHEMA_VERSION = 1
-ROW_HEADER = (
-    "run",
-    "timestep",
-    "sensor",
-    "ospa_m",
-    "card_est",
-    "extracted",
-    "tx_floats",
-    "tx_ints",
-    "tx_components",
-)
 
 
 @dataclass(frozen=True)
@@ -109,6 +100,24 @@ class ExperimentConfig:
             raise ValueError("master_seed must be non-negative")
         if self.parallelism < 1:
             raise ValueError("parallelism must be at least 1")
+        if self.scenario_name != "paper":
+            raise ValueError(
+                f"unknown scenario preset {self.scenario_name!r} (only 'paper' is built in)"
+            )
+        # The policy checks its own settings (draw mode, draw count).
+        policy = ALGORITHMS[self.algorithm].build(self)
+        if (
+            isinstance(policy, SampleWithReplacementPolicy)
+            and policy.config.draw_mode == "fixed_draws"
+            and policy.config.fixed_draw_count > self.bandwidth
+        ):
+            # More draws than the budget fail on any mixture with more
+            # components than that, as the paper scenario's births are:
+            # reject here rather than record every run as failed.
+            raise ValueError(
+                f"fixed_draws({policy.config.fixed_draw_count}) can exceed the budget "
+                f"of {self.bandwidth} distinct components"
+            )
 
     @property
     def label(self) -> str:
@@ -117,9 +126,6 @@ class ExperimentConfig:
     @property
     def rounds(self) -> int:
         return self.alpha if ALGORITHMS[self.algorithm].communicates else 0
-
-    def manifest_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -133,6 +139,9 @@ class StepRow:
     tx_floats: int
     tx_ints: int
     tx_components: int
+
+
+ROW_HEADER = tuple(f.name for f in fields(StepRow))
 
 
 @dataclass(frozen=True)
@@ -384,6 +393,19 @@ def _paired(a: ExperimentResult, b: ExperimentResult) -> PairedComparison:
     )
 
 
+# The settings in which campaigns paired by ``compare_algorithms`` may differ.
+_PER_VARIANT_FIELDS = (
+    "algorithm",
+    "alpha",
+    "bandwidth",
+    "threshold",
+    "draw_mode",
+    "draws",
+    "parallelism",
+    "output_dir",
+)
+
+
 def compare_algorithms(
     configs: Sequence[ExperimentConfig],
     results: Sequence[ExperimentResult] | None = None,
@@ -393,24 +415,22 @@ def compare_algorithms(
     ``phdfuse.policies.ALGORITHMS`` (full <= sampling <= partial <=
     no-consensus), more rounds first within one algorithm.
 
-    All configs must share the scenario, seed, run count and OSPA settings so
-    the per-run series are paired.  Adjacent configs in the canonical order
-    are compared by paired differences, over the run indices both campaigns
-    completed, with +/- 2 SE confidence intervals.
+    Configs may differ only in ``_PER_VARIANT_FIELDS``.  Every other field,
+    from the scenario and seed to the filter and metric settings, must be
+    equal so the per-run series are paired.  Adjacent configs in the canonical
+    order are compared by paired differences, over the run indices both
+    campaigns completed, with +/- 2 SE confidence intervals.
     """
     if not configs:
         raise ValueError("compare_algorithms needs at least one config")
     reference = configs[0]
+    shared = [f.name for f in fields(ExperimentConfig) if f.name not in _PER_VARIANT_FIELDS]
     for other in configs[1:]:
-        if (
-            other.scenario != reference.scenario
-            or other.master_seed != reference.master_seed
-            or other.mc_runs != reference.mc_runs
-            or other.ospa != reference.ospa
-            or other.phd != reference.phd
-        ):
+        differing = [name for name in shared if getattr(other, name) != getattr(reference, name)]
+        if differing:
             raise ValueError(
-                "compared configs must share scenario, seeds, run count, and metric settings"
+                "compared configs must share every setting but the variant's own; "
+                f"they differ in {', '.join(differing)}"
             )
     if results is None:
         scenario = build_scenario(reference.scenario, reference.phd)
@@ -424,131 +444,64 @@ def compare_algorithms(
     return ComparisonResult(results=tuple(ordered), pairs=pairs)
 
 
-def _format(value: float | int) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _write_csv(path: str | Path, header: Sequence[str], rows) -> None:
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_rows_csv(result: ExperimentResult, path: str | Path) -> None:
     """Per-(run, timestep, sensor) rows for all successful runs."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(ROW_HEADER)
-        for record in result.successful:
-            for row in record.rows:
-                writer.writerow(
-                    [
-                        row.run,
-                        row.timestep,
-                        row.sensor,
-                        _format(row.ospa_m),
-                        _format(row.card_est),
-                        row.extracted,
-                        row.tx_floats,
-                        row.tx_ints,
-                        row.tx_components,
-                    ]
-                )
+    rows = (astuple(row) for record in result.successful for row in record.rows)
+    _write_csv(path, ROW_HEADER, rows)
+
+
+# Each column of runs.csv once: its header and its value for a ``RunRecord``.
+_RUN_COLUMNS = {
+    "run": lambda r: r.run,
+    "status": lambda r: "ok" if r.ok else "failed",
+    "time_avg_network_ospa": lambda r: r.time_averaged_network_ospa,
+    "total_tx_floats": lambda r: r.total_tx_floats,
+    "total_tx_ints": lambda r: r.total_tx_ints,
+    "total_tx_components": lambda r: r.total_tx_components,
+    "filter_components": lambda r: r.filter_components,
+    "consensus_components": lambda r: r.consensus_components,
+    "error": lambda r: r.error or "",
+}
+
+# Each column of summary.csv once, for an ``ExperimentResult``.
+_SUMMARY_COLUMNS = {
+    "algorithm": lambda r: r.config.algorithm,
+    "alpha": lambda r: r.config.alpha,
+    "bandwidth": lambda r: r.config.bandwidth,
+    "mc_runs": lambda r: r.config.mc_runs,
+    "failed_runs": lambda r: len(r.failed_runs),
+    "ospa_mean": lambda r: r.ospa_mean,
+    "ospa_se": lambda r: r.ospa_se,
+    "mean_total_tx_floats": lambda r: r.mean_tx_floats,
+}
 
 
 def write_runs_csv(result: ExperimentResult, path: str | Path) -> None:
     """Per-run summary: time-averaged OSPA, communication totals, op counts."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            (
-                "run",
-                "status",
-                "time_avg_network_ospa",
-                "total_tx_floats",
-                "total_tx_ints",
-                "total_tx_components",
-                "filter_components",
-                "consensus_components",
-                "error",
-            )
-        )
-        for record in result.records:
-            writer.writerow(
-                [
-                    record.run,
-                    "ok" if record.ok else "failed",
-                    _format(record.time_averaged_network_ospa),
-                    record.total_tx_floats,
-                    record.total_tx_ints,
-                    record.total_tx_components,
-                    record.filter_components,
-                    record.consensus_components,
-                    record.error or "",
-                ]
-            )
+    rows = ([value(r) for value in _RUN_COLUMNS.values()] for r in result.records)
+    _write_csv(path, tuple(_RUN_COLUMNS), rows)
 
 
 def write_summary_csv(results: Sequence[ExperimentResult], path: str | Path) -> None:
     """One line per campaign: mean and standard error of the per-run
     time-averaged network OSPA, plus mean communication cost."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            (
-                "algorithm",
-                "alpha",
-                "bandwidth",
-                "mc_runs",
-                "failed_runs",
-                "ospa_mean",
-                "ospa_se",
-                "mean_total_tx_floats",
-            )
-        )
-        for result in results:
-            writer.writerow(
-                [
-                    result.config.algorithm,
-                    result.config.alpha,
-                    result.config.bandwidth,
-                    result.config.mc_runs,
-                    len(result.failed_runs),
-                    _format(result.ospa_mean),
-                    _format(result.ospa_se),
-                    _format(result.mean_tx_floats),
-                ]
-            )
+    rows = ([value(r) for value in _SUMMARY_COLUMNS.values()] for r in results)
+    _write_csv(path, tuple(_SUMMARY_COLUMNS), rows)
 
 
 def write_comparison_csv(comparison: ComparisonResult, path: str | Path) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            (
-                "label_a",
-                "label_b",
-                "mean_a",
-                "mean_b",
-                "mean_diff",
-                "se_diff",
-                "ci_low",
-                "ci_high",
-                "ordered",
-                "separated",
-            )
-        )
-        for pair in comparison.pairs:
-            writer.writerow(
-                [
-                    pair.label_a,
-                    pair.label_b,
-                    _format(pair.mean_a),
-                    _format(pair.mean_b),
-                    _format(pair.mean_diff),
-                    _format(pair.se_diff),
-                    _format(pair.ci_low),
-                    _format(pair.ci_high),
-                    int(pair.ordered),
-                    int(pair.separated),
-                ]
-            )
+    header = tuple(f.name for f in fields(PairedComparison)) + ("ordered", "separated")
+    rows = (
+        astuple(pair) + (int(pair.ordered), int(pair.separated)) for pair in comparison.pairs
+    )
+    _write_csv(path, header, rows)
 
 
 def write_manifest(result: ExperimentResult, path: str | Path) -> None:
@@ -556,7 +509,7 @@ def write_manifest(result: ExperimentResult, path: str | Path) -> None:
     manifest = {
         "schema_version": CSV_SCHEMA_VERSION,
         "package_version": _package_version,
-        "config": result.config.manifest_dict(),
+        "config": asdict(result.config),
         "master_seed": result.config.master_seed,
         "runs": {
             str(record.run): ("ok" if record.ok else record.error)
@@ -568,62 +521,51 @@ def write_manifest(result: ExperimentResult, path: str | Path) -> None:
         handle.write("\n")
 
 
-def _scenario_from_spec(payload: dict) -> tuple[str, ScenarioConfig]:
-    name = payload.get("scenario", "paper")
-    overrides = dict(payload.get("scenario_overrides", {}))
-    if name != "paper":
-        raise ValueError(f"unknown scenario preset {name!r} (only 'paper' is built in)")
-    config = ScenarioConfig()
-    if overrides:
-        region = overrides.pop("region", None)
-        if region is not None:
-            from .scenario import Region
+def _scenario_config(overrides: dict) -> ScenarioConfig:
+    """The paper scenario with a JSON ``scenario_overrides`` object applied."""
+    overrides = dict(overrides)
+    region = overrides.pop("region", None)
+    if region is not None:
+        overrides["region"] = Region(**region)
+    targets = overrides.pop("targets", None)
+    if targets is not None:
+        overrides["targets"] = tuple(
+            TargetSchedule(tuple(t["initial_state"]), t["start"], t["end"]) for t in targets
+        )
+    return replace(ScenarioConfig(), **overrides)
 
-            overrides["region"] = Region(**region)
-        targets = overrides.pop("targets", None)
-        if targets is not None:
-            from .scenario import TargetSchedule
 
-            overrides["targets"] = tuple(
-                TargetSchedule(tuple(t["initial_state"]), t["start"], t["end"]) for t in targets
-            )
-        config = replace(config, **overrides)
-    return name, config
+# ``ExperimentConfig`` fields that JSON gives as nested objects (``scenario``
+# there names the preset, and ``scenario_overrides`` holds the fields).
+_NESTED_FIELDS = ("scenario", "phd", "ospa")
 
 
 def load_experiment_config(source: str | Path | dict, **overrides) -> ExperimentConfig:
     """Build an ``ExperimentConfig`` from a JSON file (or an equivalent dict).
 
-    Recognised keys: scenario ("paper"), scenario_overrides (ScenarioConfig
-    fields), algorithm, alpha, bandwidth, threshold, draw_mode, draws,
-    mc_runs, master_seed, parallelism, output_dir, ospa {order, cutoff},
-    ospa_full_state, phd (PhdConfig fields); other keys are ignored.
-    Keyword overrides replace file values (used by the CLI override flags).
+    Every ``ExperimentConfig`` field is a key of the same name, except the
+    nested ones: ``scenario`` names the preset (only "paper"),
+    ``scenario_overrides`` holds ``ScenarioConfig`` fields, and ``phd`` and
+    ``ospa`` hold ``PhdConfig`` and ``OspaConfig`` fields.  A missing key
+    takes the field's default; ``algorithm`` defaults to "full" and ``alpha``
+    to 0.  Other keys are ignored.  Keyword overrides replace file values
+    (used by the CLI override flags).
     """
     if isinstance(source, dict):
         payload = dict(source)
     else:
         with open(source) as handle:
             payload = json.load(handle)
-    scenario_name, scenario_config = _scenario_from_spec(payload)
-    phd = PhdConfig(**payload.get("phd", {}))
-    ospa_config = OspaConfig(**payload.get("ospa", {}))
-    kwargs = {
-        "algorithm": payload.get("algorithm", "full"),
-        "alpha": payload.get("alpha", 0),
-        "bandwidth": payload.get("bandwidth", 5),
-        "threshold": payload.get("threshold", 0.1),
-        "draw_mode": payload.get("draw_mode", "stop_at_B_distinct"),
-        "draws": payload.get("draws"),
-        "mc_runs": payload.get("mc_runs", 25),
-        "master_seed": payload.get("master_seed", 0),
-        "parallelism": payload.get("parallelism", 1),
-        "output_dir": payload.get("output_dir"),
-        "scenario_name": scenario_name,
-        "scenario": scenario_config,
-        "phd": phd,
-        "ospa": ospa_config,
-        "ospa_full_state": payload.get("ospa_full_state", False),
-    }
+    kwargs = {"algorithm": "full", "alpha": 0}
+    kwargs.update(
+        (f.name, payload[f.name])
+        for f in fields(ExperimentConfig)
+        if f.name in payload and f.name not in _NESTED_FIELDS
+    )
+    if "scenario" in payload:
+        kwargs["scenario_name"] = payload["scenario"]
+    kwargs["scenario"] = _scenario_config(payload.get("scenario_overrides", {}))
+    kwargs["phd"] = PhdConfig(**payload.get("phd", {}))
+    kwargs["ospa"] = OspaConfig(**payload.get("ospa", {}))
     kwargs.update(overrides)
     return ExperimentConfig(**kwargs)

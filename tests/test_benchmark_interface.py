@@ -4,19 +4,23 @@
 calling module's namespace and by wrapping ``GaussianMixture.__post_init__``.
 A refactor that calls a layer through another route, or changes that
 method's signature, would leave the tracer blind or broken; these tests fail
-first.
+first.  The last test pins the config and scenario calls that
+``mcbench/campaign.py`` makes, for the same reason.
 """
 
 import inspect
+from dataclasses import replace
 
 import numpy as np
 
 import phdfuse.consensus as consensus
 import phdfuse.phd as phd
 from phdfuse.consensus import ConsensusWeights, consensus_round
+from phdfuse.experiment import ExperimentConfig, run_experiment
 from phdfuse.gaussian import GaussianMixture
 from phdfuse.phd import PhdConfig, reduce_mixture
 from phdfuse.policies import FullPolicy, RankPolicy
+from phdfuse.scenario import build_scenario
 from conftest import random_mixture
 
 PAIR = ConsensusWeights(
@@ -73,3 +77,19 @@ def test_consensus_round_calls_through_consensus_globals(monkeypatch, rng):
     consensus_round(intensities, PAIR, RankPolicy(bandwidth=2), reduction=config)
     assert calls["partial_fusion"] == 2
     assert calls["reconstruct"] == 4 and calls["reduce_mixture"] == 4
+
+
+def test_campaign_config_calls():
+    config = ExperimentConfig(
+        algorithm="sample_replacement", alpha=1, mc_runs=2, master_seed=4, parallelism=1
+    )
+    single = replace(config, mc_runs=1)
+    assert single.mc_runs == 1 and single.master_seed == 4
+    # The two-argument call: ``Scenario.phd`` is read by nothing in the
+    # package, but the benchmark passes the campaign's filter settings.
+    sim = replace(config.scenario, horizon=2)
+    scenario = build_scenario(sim, config.phd)
+    assert scenario.config == sim and scenario.phd == config.phd
+    (record,) = run_experiment(single, scenario).records
+    assert record.ok and len(record.rows) == 2 * sim.sensor_count
+    assert config.rounds == 1 and config.bandwidth == 5

@@ -103,6 +103,27 @@ def test_run_rejects_unknown_algorithm(tiny_config, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_run_rejects_invalid_sampling_setting_before_any_run(tmp_path, capsys):
+    # A configuration error: exit 2 before any run, with nothing written.
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "algorithm": "sample_replacement",
+                "alpha": 1,
+                "mc_runs": 1,
+                "draw_mode": "bogus",
+                "scenario_overrides": {"horizon": 2},
+            }
+        )
+    )
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(config), "--output-dir", str(out)])
+    assert code == 2
+    assert "unknown draw_mode" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compare_writes_pairwise_outputs(tiny_config, tmp_path, capsys):
     out = tmp_path / "out"
     code = main(

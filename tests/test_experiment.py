@@ -3,7 +3,7 @@
 import csv
 import hashlib
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -27,6 +27,7 @@ from phdfuse.experiment import (
     write_summary_csv,
 )
 from phdfuse.gaussian import GaussianMixture
+from phdfuse.metrics import ospa
 from phdfuse.phd import PhdConfig
 from phdfuse.policies import (
     ALGORITHMS,
@@ -77,6 +78,22 @@ class TestConfig:
             ExperimentConfig(algorithm="full", alpha=1, parallelism=0)
         with pytest.raises(ValueError, match="master_seed"):
             ExperimentConfig(algorithm="full", alpha=1, master_seed=-1)
+
+    def test_invalid_sampling_settings_rejected(self):
+        # Each would fail every run; the config rejects it up front.
+        def sampler(**kwargs):
+            return ExperimentConfig(algorithm="sample_replacement", alpha=1, **kwargs)
+
+        with pytest.raises(ValueError, match="unknown draw_mode"):
+            sampler(draw_mode="bogus")
+        with pytest.raises(ValueError, match="draw count"):
+            sampler(draws=0)
+        # The default fixed draw count, 4*B, exceeds the budget B.
+        with pytest.raises(ValueError, match=r"fixed_draws\(20\) can exceed the budget of 5"):
+            sampler(draw_mode="fixed_draws")
+        with pytest.raises(ValueError, match=r"fixed_draws\(6\)"):
+            sampler(draw_mode="fixed_draws", draws=6)
+        assert sampler(draw_mode="fixed_draws", draws=5).draws == 5
 
     def test_nan_threshold_rejected(self):
         # A NaN threshold made partial_threshold send nothing, recorded as ok.
@@ -185,6 +202,32 @@ class TestRunExperiment:
         write_rows_csv(result_a, path_a)
         write_rows_csv(result_b, path_b)
         assert path_a.read_bytes() == path_b.read_bytes()
+
+    def test_full_state_ospa_scores_extracted_states_against_truth_states(self, monkeypatch):
+        extracted, truths = [], []
+
+        def recording(function, store):
+            def wrapper(*args, **kwargs):
+                store.append(function(*args, **kwargs))
+                return store[-1]
+
+            return wrapper
+
+        monkeypatch.setattr(
+            experiment, "extract_targets", recording(experiment.extract_targets, extracted)
+        )
+        monkeypatch.setattr(
+            experiment, "simulate_truth", recording(experiment.simulate_truth, truths)
+        )
+        config = tiny_config(algorithm="full", alpha=1, horizon=4, ospa_full_state=True)
+        (record,) = run_experiment(config).records
+        assert record.ok and len(record.rows) == len(extracted) == 4 * 6
+        for row, states in zip(record.rows, extracted):
+            assert states.shape[1] == 4
+            reference = truths[0].at(row.timestep).states
+            assert row.ospa_m == ospa(states, reference, config.ospa).distance
+        positions = run_experiment(replace(config, ospa_full_state=False)).records[0]
+        assert [r.ospa_m for r in positions.rows] != [r.ospa_m for r in record.rows]
 
     def test_rank_transmissions_have_exact_budget_cost(self):
         # With >= bandwidth components at every sensor (ten birth components
@@ -395,6 +438,10 @@ class TestCompareAlgorithms:
         b = synthetic_result("no_consensus", 0, [2.0, 3.0], master_seed=9)
         with pytest.raises(ValueError, match="must share"):
             compare_algorithms([a.config, b.config], results=[a, b])
+        # Position OSPA paired against full-state OSPA.
+        full_state = replace(a.config, algorithm="no_consensus", alpha=0, ospa_full_state=True)
+        with pytest.raises(ValueError, match="differ in ospa_full_state"):
+            compare_algorithms([a.config, full_state])
 
     def test_pairs_by_run_index_over_runs_both_completed(self):
         def result(algorithm, alpha, values):
@@ -519,6 +566,36 @@ class TestLoadConfig:
         assert config.ospa.order == 2.0 and config.ospa.cutoff == 50.0
         assert config.phd.max_components == 30
 
+    # A non-default value for each field that JSON gives as a flat key.
+    # ``scenario_name`` has one valid value, its default, so
+    # ``test_unknown_scenario_rejected`` loads it instead.
+    FLAT_VALUES = {
+        "algorithm": "sample_replacement",
+        "alpha": 4,
+        "bandwidth": 7,
+        "threshold": 0.25,
+        "draw_mode": "fixed_draws",
+        "draws": 6,
+        "mc_runs": 3,
+        "master_seed": 12,
+        "parallelism": 2,
+        "output_dir": "campaign-out",
+        "ospa_full_state": True,
+    }
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            f.name
+            for f in fields(ExperimentConfig)
+            if f.name not in ("scenario", "scenario_name", "phd", "ospa")
+        ],
+    )
+    def test_every_flat_field_loads_from_its_key(self, name):
+        value = self.FLAT_VALUES[name]
+        assert getattr(load_experiment_config({}), name) != value
+        assert getattr(load_experiment_config({name: value}), name) == value
+
     def test_keyword_overrides_win(self):
         config = load_experiment_config({"algorithm": "full", "alpha": 1}, alpha=6)
         assert config.alpha == 6
@@ -526,6 +603,10 @@ class TestLoadConfig:
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ValueError, match="unknown scenario preset"):
             load_experiment_config({"scenario": "bogus"})
+        with pytest.raises(ValueError, match="unknown scenario preset"):
+            load_experiment_config({"scenario_name": "bogus"})
+        with pytest.raises(ValueError, match="unknown scenario preset"):
+            ExperimentConfig(algorithm="full", alpha=0, scenario_name="bogus")
 
     def test_scenario_overrides(self):
         config = load_experiment_config(
