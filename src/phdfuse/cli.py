@@ -5,8 +5,8 @@ Subcommands:
              rows.csv, runs.csv, summary.csv and manifest.json
   compare    several algorithm/alpha variants under shared seeds; writes
              per-variant run summaries plus summary.csv and comparison.csv
-  simulate   one scenario realization; writes truth.txt and measurements.txt
-             in the line-oriented replay format
+  simulate   the truth and measurements of run 0, as ``run`` draws them;
+             writes truth.txt and measurements.txt
 
 Exit status is 0 on success, 1 if any Monte Carlo run failed numerically, and
 2 on configuration/validation errors.
@@ -24,6 +24,7 @@ from .experiment import (
     compare_algorithms,
     load_experiment_config,
     run_experiment,
+    run_world,
     write_comparison_csv,
     write_manifest,
     write_rows_csv,
@@ -31,14 +32,7 @@ from .experiment import (
     write_summary_csv,
 )
 from .policies import lookup_algorithm
-from .scenario import (
-    build_scenario,
-    generate_measurements,
-    simulate_truth,
-    write_measurements,
-    write_truth,
-)
-from .streams import substream
+from .scenario import GroundTruth, build_scenario, write_measurements, write_truth
 
 __all__ = ["main"]
 
@@ -129,30 +123,16 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load(args)
     scenario = build_scenario(config.scenario, config.phd)
-    sim = scenario.config
-    truth_rng = (
-        substream(config.master_seed, "truth", 0) if sim.truth_process_noise else None
-    )
-    truth = simulate_truth(sim, truth_rng)
-    # The streams run 0 of a campaign draws from, one per timestep.
-    frames = [
-        generate_measurements(
-            frame,
-            scenario.sensors,
-            sim,
-            substream(config.master_seed, "measurements", 0, frame.timestep),
-        )
-        for frame in truth.frames
-    ]
+    truths, frames = zip(*run_world(scenario, config.master_seed, 0))
     directory = _output_dir(config)
     with open(directory / "truth.txt", "w") as handle:
-        write_truth(truth, handle)
+        write_truth(GroundTruth(frames=truths), handle)
     with open(directory / "measurements.txt", "w") as handle:
         write_measurements(frames, handle)
     total = sum(block.shape[0] for frame in frames for block in frame.per_sensor)
     print(
-        f"simulated {sim.horizon} timesteps, {total} measurements across "
-        f"{sim.sensor_count} sensors, outputs in {directory}"
+        f"simulated {len(frames)} timesteps, {total} measurements across "
+        f"{len(scenario.sensors)} sensors, outputs in {directory}"
     )
     return 0
 

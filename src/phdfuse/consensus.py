@@ -178,14 +178,12 @@ def validate_weights(
     if network is not None:
         if network.vertex_count != n:
             raise ValueError("network size does not match omega")
-        for i in range(n):
-            for j in range(n):
-                if i != j and omega[i, j] != 0.0 and (j, i) not in network.edges:
-                    failed.append("sparsity")
-                    break
-            else:
-                continue
-            break
+        # linked[i, j]: sensor i may weight sensor j, its own value or over an edge.
+        linked = np.eye(n, dtype=bool)
+        for j, i in network.edges:
+            linked[i, j] = True
+        if np.any((omega != 0.0) & ~linked):
+            failed.append("sparsity")
     return WeightValidation(sigma=sigma, failed=tuple(failed))
 
 

@@ -24,7 +24,7 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -33,8 +33,10 @@ from .consensus import consensus_round
 from .gaussian import GaussianMixture
 from .metrics import OspaConfig, ospa, time_averaged_network_ospa
 from .phd import PhdConfig, extract_targets, predict, reduce_mixture, update
-from .policies import ALGORITHMS, SampleWithReplacementPolicy, lookup_algorithm, transmission_cost
+from .policies import ALGORITHMS, SamplingConfig, lookup_algorithm, transmission_cost
 from .scenario import (
+    GroundTruthFrame,
+    MeasurementFrame,
     Region,
     Scenario,
     ScenarioConfig,
@@ -54,6 +56,7 @@ __all__ = [
     "PairedComparison",
     "ComparisonResult",
     "load_experiment_config",
+    "run_world",
     "run_experiment",
     "compare_algorithms",
     "write_rows_csv",
@@ -90,8 +93,6 @@ class ExperimentConfig:
         lookup_algorithm(self.algorithm)
         if self.alpha < 0:
             raise ValueError("alpha must be non-negative")
-        if self.bandwidth < 1:
-            raise ValueError("bandwidth must be at least 1")
         if not self.threshold >= 0.0:
             raise ValueError("threshold must be non-negative")
         if self.mc_runs < 1:
@@ -104,18 +105,19 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown scenario preset {self.scenario_name!r} (only 'paper' is built in)"
             )
-        # The policy checks its own settings (draw mode, draw count).
-        policy = ALGORITHMS[self.algorithm].build(self)
+        # Bandwidth and draw settings, checked for every algorithm so that a
+        # manifest never records a bogus one.
+        sampling = SamplingConfig(self.bandwidth, self.draw_mode, self.draws)
         if (
-            isinstance(policy, SampleWithReplacementPolicy)
-            and policy.config.draw_mode == "fixed_draws"
-            and policy.config.fixed_draw_count > self.bandwidth
+            self.algorithm == "sample_replacement"
+            and sampling.draw_mode == "fixed_draws"
+            and sampling.fixed_draw_count > self.bandwidth
         ):
             # More draws than the budget fail on any mixture with more
             # components than that, as the paper scenario's births are:
             # reject here rather than record every run as failed.
             raise ValueError(
-                f"fixed_draws({policy.config.fixed_draw_count}) can exceed the budget "
+                f"fixed_draws({sampling.fixed_draw_count}) can exceed the budget "
                 f"of {self.bandwidth} distinct components"
             )
 
@@ -214,13 +216,24 @@ class BudgetExceeded(Exception):
     """
 
 
+def run_world(
+    scenario: Scenario, master_seed: int, run_index: int
+) -> Iterator[tuple[GroundTruthFrame, MeasurementFrame]]:
+    """Yield run ``run_index``'s truth frame and measurements, timestep by timestep,
+    from the streams ``("truth", run)`` and ``("measurements", run, k)``, named
+    nowhere else, so every campaign with this scenario and seed sees this world."""
+    sim = scenario.config
+    truth_rng = substream(master_seed, "truth", run_index) if sim.truth_process_noise else None
+    for frame in simulate_truth(sim, truth_rng).frames:
+        rng = substream(master_seed, "measurements", run_index, frame.timestep)
+        yield frame, generate_measurements(frame, scenario.sensors, sim, rng)
+
+
 def _single_run(scenario: Scenario, config: ExperimentConfig, run_index: int) -> RunRecord:
     rule = ALGORITHMS[config.algorithm]
     policy = rule.build(config)
-    seed = config.master_seed
     sim = scenario.config
-    truth_rng = substream(seed, "truth", run_index) if sim.truth_process_noise else None
-    truth = simulate_truth(sim, truth_rng)
+    world = run_world(scenario, config.master_seed, run_index)
     posteriors = [GaussianMixture.empty(scenario.motion.dimension)] * sim.sensor_count
     rows: list[StepRow] = []
     network_values: list[float] = []
@@ -233,10 +246,8 @@ def _single_run(scenario: Scenario, config: ExperimentConfig, run_index: int) ->
     try:
         for k in range(1, sim.horizon + 1):
             round_index = 0
-            frame = truth.at(k)
-            measurements = generate_measurements(
-                frame, scenario.sensors, sim, substream(seed, "measurements", run_index, k)
-            )
+            # k is set before the draw, so a failed draw names its own step.
+            frame, measurements = next(world)
             for i in range(sim.sensor_count):
                 predicted = predict(posteriors[i], scenario.motion, scenario.birth, scenario.spawn)
                 updated = update(
@@ -250,7 +261,7 @@ def _single_run(scenario: Scenario, config: ExperimentConfig, run_index: int) ->
             step_cost = np.zeros((sim.sensor_count, 3), dtype=np.int64)
             for round_index in range(1, config.rounds + 1):
                 rngs = [
-                    substream(seed, "consensus", run_index, k, round_index, i)
+                    substream(config.master_seed, "consensus", run_index, k, round_index, i)
                     for i in range(sim.sensor_count)
                 ]
                 posteriors, transmissions = consensus_round(
@@ -325,9 +336,12 @@ def run_experiment(config: ExperimentConfig, scenario: Scenario | None = None) -
     Per-run numerical failures are captured in the run's record (``error``)
     without aborting the campaign.  Runs execute in parallel when
     ``config.parallelism`` exceeds 1; results are ordered by run index either
-    way.
+    way.  A given ``scenario`` must have been built with ``config.phd``.
     """
-    scenario = scenario or build_scenario(config.scenario, config.phd)
+    if scenario is None:
+        scenario = build_scenario(config.scenario, config.phd)
+    elif scenario.phd != config.phd:
+        raise ValueError(f"scenario.phd {scenario.phd} differs from config.phd {config.phd}")
     indices = range(config.mc_runs)
     if config.parallelism > 1:
         with ProcessPoolExecutor(max_workers=config.parallelism) as pool:

@@ -42,9 +42,7 @@ __all__ = [
     "default_consensus_weights",
     "build_scenario",
     "write_truth",
-    "read_truth",
     "write_measurements",
-    "read_measurements",
 ]
 
 
@@ -458,28 +456,6 @@ def write_truth(truth: GroundTruth, stream: IO[str]) -> None:
             stream.write(f"{frame.timestep} {target_id} {values}\n")
 
 
-def read_truth(stream: IO[str], horizon: int) -> GroundTruth:
-    by_step: dict[int, list[tuple[int, np.ndarray]]] = {k: [] for k in range(1, horizon + 1)}
-    for line in stream:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 6:
-            raise ValueError(f"malformed truth line: {line!r}")
-        timestep = int(parts[0])
-        if timestep not in by_step:
-            raise ValueError(f"truth timestep {timestep} outside horizon {horizon}")
-        by_step[timestep].append((int(parts[1]), np.array([float(v) for v in parts[2:]])))
-    frames = []
-    for timestep in range(1, horizon + 1):
-        entries = by_step[timestep]
-        ids = tuple(target_id for target_id, _ in entries)
-        states = np.stack([state for _, state in entries]) if entries else np.empty((0, 4))
-        frames.append(GroundTruthFrame(timestep=timestep, ids=ids, states=states))
-    return GroundTruth(frames=tuple(frames))
-
-
 def write_measurements(frames: Iterable[MeasurementFrame], stream: IO[str]) -> None:
     """Line format: ``timestep sensor_index z1 z2`` (full float precision)."""
     stream.write("# timestep sensor z1 z2\n")
@@ -488,28 +464,3 @@ def write_measurements(frames: Iterable[MeasurementFrame], stream: IO[str]) -> N
             for row in block:
                 values = " ".join(repr(float(v)) for v in row)
                 stream.write(f"{frame.timestep} {sensor_index} {values}\n")
-
-
-def read_measurements(stream: IO[str], horizon: int, sensor_count: int) -> list[MeasurementFrame]:
-    table: dict[tuple[int, int], list[np.ndarray]] = {}
-    for line in stream:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 4:
-            raise ValueError(f"malformed measurement line: {line!r}")
-        timestep, sensor = int(parts[0]), int(parts[1])
-        if not (1 <= timestep <= horizon and 0 <= sensor < sensor_count):
-            raise ValueError(f"measurement line outside bounds: {line!r}")
-        table.setdefault((timestep, sensor), []).append(
-            np.array([float(parts[2]), float(parts[3])])
-        )
-    frames = []
-    for timestep in range(1, horizon + 1):
-        per_sensor = []
-        for sensor in range(sensor_count):
-            rows = table.get((timestep, sensor), [])
-            per_sensor.append(np.stack(rows) if rows else np.empty((0, 2)))
-        frames.append(MeasurementFrame(timestep=timestep, per_sensor=tuple(per_sensor)))
-    return frames

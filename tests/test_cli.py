@@ -1,6 +1,7 @@
 """End-to-end command-line checks driven through ``phdfuse.cli.main``."""
 
 import csv
+import io
 import json
 import os
 import shutil
@@ -8,7 +9,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import phdfuse
@@ -16,9 +16,9 @@ import phdfuse.experiment as experiment
 from phdfuse.cli import main
 from phdfuse.scenario import (
     generate_measurements,
-    read_measurements,
-    read_truth,
     simulate_truth,
+    write_measurements,
+    write_truth,
 )
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -104,24 +104,26 @@ def test_run_rejects_unknown_algorithm(tiny_config, tmp_path, capsys):
 
 
 def test_run_rejects_invalid_sampling_setting_before_any_run(tmp_path, capsys):
-    # A configuration error: exit 2 before any run, with nothing written.
-    config = tmp_path / "config.json"
-    config.write_text(
-        json.dumps(
-            {
-                "algorithm": "sample_replacement",
-                "alpha": 1,
-                "mc_runs": 1,
-                "draw_mode": "bogus",
-                "scenario_overrides": {"horizon": 2},
-            }
+    # A configuration error: exit 2 before any run, with nothing written,
+    # also for an algorithm that never reads the draw mode.
+    for algorithm in ("sample_replacement", "full"):
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "algorithm": algorithm,
+                    "alpha": 1,
+                    "mc_runs": 1,
+                    "draw_mode": "bogus",
+                    "scenario_overrides": {"horizon": 2},
+                }
+            )
         )
-    )
-    out = tmp_path / "out"
-    code = main(["run", "--config", str(config), "--output-dir", str(out)])
-    assert code == 2
-    assert "unknown draw_mode" in capsys.readouterr().err
-    assert not out.exists()
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(config), "--output-dir", str(out)])
+        assert code == 2, algorithm
+        assert "unknown draw_mode" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_compare_writes_pairwise_outputs(tiny_config, tmp_path, capsys):
@@ -192,13 +194,15 @@ def test_simulate_writes_replayable_files(tiny_config, tmp_path):
     out = tmp_path / "out"
     code = main(["simulate", "--config", str(tiny_config), "--output-dir", str(out)])
     assert code == 0
-    with open(out / "truth.txt") as handle:
-        truth = read_truth(handle, horizon=3)
-    with open(out / "measurements.txt") as handle:
-        frames = read_measurements(handle, horizon=3, sensor_count=6)
-    assert len(truth.frames) == 3 and len(frames) == 3
-    assert truth.frames[0].timestep == 1
-    assert len(frames[0].per_sensor) == 6
+    truth_lines = (out / "truth.txt").read_text().splitlines()
+    measurement_lines = (out / "measurements.txt").read_text().splitlines()
+    assert truth_lines[0] == "# timestep target_id x y vx vy"
+    assert measurement_lines[0] == "# timestep sensor z1 z2"
+    # The default schedule has targets alive from k = 1.
+    assert {line.split()[0] for line in truth_lines[1:]} == {"1", "2", "3"}
+    assert all(len(line.split()) == 6 for line in truth_lines[1:])
+    assert {line.split()[0] for line in measurement_lines[1:]} <= {"1", "2", "3"}
+    assert all(len(line.split()) == 4 for line in measurement_lines[1:])
 
 
 @pytest.mark.parametrize("truth_process_noise", [False, True])
@@ -223,20 +227,13 @@ def test_simulate_writes_the_measurements_run_zero_draws(
     assert main(["run", "--config", str(tiny_config), "--output-dir", str(tmp_path / "run")]) == 0
     assert len(truths) == 1
     assert [frame.timestep for frame in drawn] == [1, 2, 3]
+    truth_text, measurement_text = io.StringIO(), io.StringIO()
+    write_truth(truths[0], truth_text)
+    write_measurements(drawn, measurement_text)
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(tiny_config), "--output-dir", str(out)]) == 0
-    with open(out / "truth.txt") as handle:
-        truth = read_truth(handle, horizon=3)
-    for written, expected in zip(truth.frames, truths[0].frames, strict=True):
-        assert written.timestep == expected.timestep
-        assert written.ids == expected.ids
-        np.testing.assert_array_equal(written.states, expected.states)
-    with open(out / "measurements.txt") as handle:
-        frames = read_measurements(handle, horizon=3, sensor_count=6)
-    for written, expected in zip(frames, drawn, strict=True):
-        assert written.timestep == expected.timestep
-        for block, expected_block in zip(written.per_sensor, expected.per_sensor, strict=True):
-            np.testing.assert_array_equal(block.reshape(-1, 2), expected_block.reshape(-1, 2))
+    assert (out / "truth.txt").read_text() == truth_text.getvalue()
+    assert (out / "measurements.txt").read_text() == measurement_text.getvalue()
 
 
 def _read_console_scripts(text):

@@ -116,6 +116,13 @@ class TestValidateWeights:
         assert report.failed == ("sparsity",)
         with pytest.raises(ValueError, match="size"):
             validate_weights(PAIR, network=path)
+        # A directed cycle j -> i lets sensor i weight j, not the reverse.
+        cycle = SensorNetwork(3, frozenset({(0, 1), (1, 2), (2, 0)}))
+        listens = 0.5 * (np.eye(3) + np.roll(np.eye(3), 1, axis=0))
+        fusion = np.full(3, 1.0 / 3.0)
+        assert validate_weights(ConsensusWeights(listens, fusion), network=cycle).failed == ()
+        reverse = ConsensusWeights(listens.T, fusion)
+        assert validate_weights(reverse, network=cycle).failed == ("sparsity",)
 
 
 class TestMetropolis:

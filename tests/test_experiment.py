@@ -38,7 +38,7 @@ from phdfuse.policies import (
     SampleWithoutReplacementPolicy,
     ThresholdPolicy,
 )
-from phdfuse.scenario import Region, ScenarioConfig
+from phdfuse.scenario import Region, ScenarioConfig, build_scenario
 from conftest import random_mixture
 
 
@@ -94,6 +94,15 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"fixed_draws\(6\)"):
             sampler(draw_mode="fixed_draws", draws=6)
         assert sampler(draw_mode="fixed_draws", draws=5).draws == 5
+        # Algorithms that never read the draw settings reject them too, so a
+        # manifest never records a bogus one.  Only sampling with replacement
+        # draws, so only it is held to the fixed-draws budget.
+        for algorithm in ("full", "sample_no_replacement", "no_consensus"):
+            with pytest.raises(ValueError, match="unknown draw_mode"):
+                ExperimentConfig(algorithm=algorithm, alpha=1, draw_mode="bogus")
+            with pytest.raises(ValueError, match="draw count"):
+                ExperimentConfig(algorithm=algorithm, alpha=1, draws=0)
+            assert ExperimentConfig(algorithm=algorithm, alpha=1, draw_mode="fixed_draws")
 
     def test_nan_threshold_rejected(self):
         # A NaN threshold made partial_threshold send nothing, recorded as ok.
@@ -310,6 +319,26 @@ class TestRunExperiment:
         monkeypatch.setattr(experiment, "update", failing_at_k2)
         result = run_experiment(tiny_config(algorithm="full", alpha=2, horizon=3))
         assert result.records[0].error == "ValueError: synthetic failure (k=2, round=0)"
+
+    def test_measurement_draw_failure_names_its_own_timestep(self, monkeypatch):
+        original = experiment.generate_measurements
+
+        def failing_at_k2(frame, *args, **kwargs):
+            if frame.timestep == 2:
+                raise ValueError("synthetic failure")
+            return original(frame, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "generate_measurements", failing_at_k2)
+        result = run_experiment(tiny_config(algorithm="full", alpha=2, horizon=3))
+        assert result.records[0].error.endswith("(k=2, round=0)")
+
+    def test_scenario_built_with_other_filter_settings_rejected(self):
+        config = tiny_config(algorithm="full", alpha=1, horizon=2)
+        scenario = build_scenario(config.scenario, PhdConfig(merge_threshold=4.0))
+        with pytest.raises(ValueError, match=r"scenario\.phd .* differs from config\.phd"):
+            run_experiment(config, scenario)
+        same = build_scenario(config.scenario, config.phd)
+        assert run_experiment(config, same).records[0].ok
 
     def test_sampling_without_replacement_completes_where_the_replay_aborted(self):
         # Run 1 of this campaign used to abort at k = 11, round 3, when the

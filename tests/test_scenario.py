@@ -20,8 +20,6 @@ from phdfuse.scenario import (
     default_targets,
     generate_measurements,
     process_noise,
-    read_measurements,
-    read_truth,
     simulate_truth,
     step_ground_truth,
     transition_matrix,
@@ -375,23 +373,33 @@ class TestBuildScenario:
             ScenarioConfig(step_time=float("nan"))
 
 
+def assert_lines(text, header, expected):
+    """``text`` is ``header`` and then, per ``(labels, values)`` of
+    ``expected``, the labels and the ``repr`` of each value, which parses
+    back to exactly that value."""
+    lines = text.splitlines()
+    assert lines[0] == header
+    assert len(lines) == 1 + len(expected)
+    for line, (labels, values) in zip(lines[1:], expected):
+        tokens = line.split()
+        assert tokens[: len(labels)] == [str(label) for label in labels]
+        assert tokens[len(labels) :] == [repr(value) for value in values.tolist()]
+        assert [float(token) for token in tokens[len(labels) :]] == values.tolist()
+
+
 class TestSerialization:
     def test_truth_round_trip_exact(self):
-        truth = simulate_truth(ScenarioConfig())
+        # Process noise, so the states are not round numbers.
+        config = ScenarioConfig(truth_process_noise=True)
+        truth = simulate_truth(config, np.random.default_rng(7))
         buffer = io.StringIO()
         write_truth(truth, buffer)
-        buffer.seek(0)
-        back = read_truth(buffer, horizon=40)
-        assert back.horizon == truth.horizon
-        for a, b in zip(truth.frames, back.frames):
-            assert a.ids == b.ids
-            np.testing.assert_array_equal(a.states, b.states)
-
-    def test_truth_read_rejects_malformed(self):
-        with pytest.raises(ValueError, match="malformed truth line"):
-            read_truth(io.StringIO("1 2 3\n"), horizon=5)
-        with pytest.raises(ValueError, match="outside horizon"):
-            read_truth(io.StringIO("9 1 0.0 0.0 0.0 0.0\n"), horizon=5)
+        expected = [
+            ((frame.timestep, target_id), state)
+            for frame in truth.frames
+            for target_id, state in zip(frame.ids, frame.states)
+        ]
+        assert_lines(buffer.getvalue(), "# timestep target_id x y vx vy", expected)
 
     def test_measurements_round_trip_exact(self):
         scenario = build_scenario()
@@ -403,26 +411,23 @@ class TestSerialization:
         ]
         buffer = io.StringIO()
         write_measurements(frames, buffer)
-        buffer.seek(0)
-        back = read_measurements(buffer, horizon=40, sensor_count=6)
-        assert len(back) == len(frames)
-        for fa, fb in zip(frames, back):
-            assert fa.timestep == fb.timestep
-            for sa, sb in zip(fa.per_sensor, fb.per_sensor):
-                np.testing.assert_array_equal(sa, sb)
-
-    def test_measurements_read_rejects_malformed(self):
-        with pytest.raises(ValueError, match="malformed measurement line"):
-            read_measurements(io.StringIO("1 0 3.0\n"), horizon=5, sensor_count=2)
-        with pytest.raises(ValueError, match="outside bounds"):
-            read_measurements(io.StringIO("1 7 3.0 4.0\n"), horizon=5, sensor_count=2)
-        with pytest.raises(ValueError, match="outside bounds"):
-            read_measurements(io.StringIO("0 0 3.0 4.0\n"), horizon=5, sensor_count=2)
+        expected = [
+            ((frame.timestep, sensor), row)
+            for frame in frames
+            for sensor, block in enumerate(frame.per_sensor)
+            for row in block
+        ]
+        assert_lines(buffer.getvalue(), "# timestep sensor z1 z2", expected)
 
     def test_empty_frames_round_trip(self):
-        frames = [MeasurementFrame(timestep=1, per_sensor=(np.empty((0, 2)),))]
+        # An empty sensor writes no line, and the next keeps its index.
+        block = np.array([[1.5, -2.0]])
+        frames = [MeasurementFrame(timestep=1, per_sensor=(np.empty((0, 2)), block))]
         buffer = io.StringIO()
         write_measurements(frames, buffer)
-        buffer.seek(0)
-        back = read_measurements(buffer, horizon=1, sensor_count=1)
-        assert back[0].per_sensor[0].shape == (0, 2)
+        assert buffer.getvalue() == "# timestep sensor z1 z2\n1 1 1.5 -2.0\n"
+        nobody = GroundTruthFrame(timestep=1, ids=(), states=np.empty((0, 4)))
+        empty = GroundTruth(frames=(nobody,))
+        buffer = io.StringIO()
+        write_truth(empty, buffer)
+        assert buffer.getvalue() == "# timestep target_id x y vx vy\n"
