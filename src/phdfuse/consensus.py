@@ -254,6 +254,11 @@ def partial_fusion(
     ``received`` pairs each heard transmission's consensus coefficient with
     its reconstructed mixture; ``self_weight`` is the listener's own
     coefficient.
+
+    Everything heard is stacked once, in (sender, component) order, and
+    matched with a single distance-kernel call.  Matched shares and each
+    reporting sender's coefficient are accumulated in that same order, so
+    the result is the one a loop over senders and their components gives.
     """
     if not match_threshold >= 0.0:
         raise ValueError(f"match_threshold must be non-negative, got {match_threshold}")
@@ -261,55 +266,48 @@ def partial_fusion(
     count = own.size
     mass = self_weight * own.weights
     coeff = np.full(count, self_weight)
-    matched: list[list[tuple[float, np.ndarray, np.ndarray]]] = [[] for _ in range(count)]
-    extra_weights: list[float] = []
-    extra_means: list[np.ndarray] = []
-    extra_covs: list[np.ndarray] = []
-    for link_weight, mixture in received:
-        if mixture.size == 0:
-            continue
-        if count == 0:
-            assign = np.full(mixture.size, -1)
-        else:
-            dist2 = _pairwise_mahalanobis2(mixture.means, mixture.covariances, own.means)
-            assign = np.argmin(dist2, axis=1)
-            assign[dist2[np.arange(mixture.size), assign] > match_threshold] = -1
-        reported = np.zeros(count, dtype=bool)
-        for r in range(mixture.size):
-            target = int(assign[r])
-            if target < 0:
-                extra_weights.append(link_weight * float(mixture.weights[r]))
-                extra_means.append(mixture.means[r])
-                extra_covs.append(mixture.covariances[r])
-            else:
-                share = link_weight * float(mixture.weights[r])
-                mass[target] += share
-                matched[target].append((share, mixture.means[r], mixture.covariances[r]))
-                reported[target] = True
-        coeff[reported] += link_weight
-    weights = np.divide(mass, coeff, out=np.zeros_like(mass), where=coeff > 0.0)
     means = own.means.copy()
     covs = own.covariances.copy()
-    for c in range(count):
-        if not matched[c]:
-            continue
-        lams = np.array([self_weight * float(own.weights[c])] + [m[0] for m in matched[c]])
+    heard = [(link, mixture) for link, mixture in received if mixture.size]
+    if not heard:
+        weights = np.divide(mass, coeff, out=np.zeros_like(mass), where=coeff > 0.0)
+        return coalesce_duplicates(GaussianMixture(weights, means, covs, dimension=dim))
+    links = np.array([link for link, _ in heard], dtype=float)
+    sender = np.repeat(np.arange(len(heard)), [mixture.size for _, mixture in heard])
+    shares = np.concatenate([link * mixture.weights for link, mixture in heard])
+    in_means = np.concatenate([mixture.means for _, mixture in heard])
+    in_covs = np.concatenate([mixture.covariances for _, mixture in heard])
+    if count == 0:
+        assign = np.full(shares.size, -1)
+    else:
+        dist2 = _pairwise_mahalanobis2(in_means, in_covs, own.means)
+        assign = np.argmin(dist2, axis=1)
+        assign[dist2[np.arange(shares.size), assign] > match_threshold] = -1
+    hit = assign >= 0
+    np.add.at(mass, assign[hit], shares[hit])
+    # One coefficient per (sender, own component) pair, sender-major.
+    pairs = np.unique(sender[hit] * count + assign[hit])
+    np.add.at(coeff, pairs % count, links[pairs // count])
+    weights = np.divide(mass, coeff, out=np.zeros_like(mass), where=coeff > 0.0)
+    for c in np.unique(assign[hit]).tolist():
+        rows = np.flatnonzero(assign == c)
+        lams = np.concatenate(([self_weight * float(own.weights[c])], shares[rows]))
         total = float(lams.sum())
         if total <= 0.0:
             continue
         lams /= total
-        points = np.vstack([own.means[c : c + 1]] + [m[1].reshape(1, dim) for m in matched[c]])
-        spreads = np.stack([own.covariances[c]] + [m[2] for m in matched[c]])
+        points = np.concatenate([own.means[c : c + 1], in_means[rows]])
+        spreads = np.concatenate([own.covariances[c : c + 1], in_covs[rows]])
         centre = lams @ points
         delta = points - centre
         covs[c] = np.einsum("p,pij->ij", lams, spreads) + np.einsum(
             "p,pi,pj->ij", lams, delta, delta
         )
         means[c] = centre
-    if extra_weights:
-        weights = np.concatenate([weights, np.asarray(extra_weights)])
-        means = np.vstack([means, np.vstack(extra_means)])
-        covs = np.concatenate([covs, np.stack(extra_covs)])
+    extra = ~hit
+    weights = np.concatenate([weights, shares[extra]])
+    means = np.concatenate([means, in_means[extra]])
+    covs = np.concatenate([covs, in_covs[extra]])
     return coalesce_duplicates(GaussianMixture(weights, means, covs, dimension=dim))
 
 

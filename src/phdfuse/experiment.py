@@ -563,13 +563,17 @@ def load_experiment_config(source: str | Path | dict, **overrides) -> Experiment
     ``ospa`` hold ``PhdConfig`` and ``OspaConfig`` fields.  A missing key
     takes the field's default; ``algorithm`` defaults to "full" and ``alpha``
     to 0.  Other keys are ignored.  Keyword overrides replace file values
-    (used by the CLI override flags).
+    (used by the CLI override flags).  A file that holds no JSON object, an
+    unknown or missing nested key and a value of the wrong type raise
+    ``ValueError``, as an out-of-range value does.
     """
     if isinstance(source, dict):
         payload = dict(source)
     else:
         with open(source) as handle:
             payload = json.load(handle)
+        if not isinstance(payload, dict):
+            raise ValueError(f"invalid experiment config: {source} does not hold a JSON object")
     kwargs = {"algorithm": "full", "alpha": 0}
     kwargs.update(
         (f.name, payload[f.name])
@@ -578,8 +582,10 @@ def load_experiment_config(source: str | Path | dict, **overrides) -> Experiment
     )
     if "scenario" in payload:
         kwargs["scenario_name"] = payload["scenario"]
-    kwargs["scenario"] = _scenario_config(payload.get("scenario_overrides", {}))
-    kwargs["phd"] = PhdConfig(**payload.get("phd", {}))
-    kwargs["ospa"] = OspaConfig(**payload.get("ospa", {}))
-    kwargs.update(overrides)
-    return ExperimentConfig(**kwargs)
+    try:
+        kwargs["scenario"] = _scenario_config(payload.get("scenario_overrides", {}))
+        kwargs["phd"] = PhdConfig(**payload.get("phd", {}))
+        kwargs["ospa"] = OspaConfig(**payload.get("ospa", {}))
+        return ExperimentConfig(**{**kwargs, **overrides})
+    except (TypeError, KeyError) as exc:
+        raise ValueError(f"invalid experiment config: {type(exc).__name__}: {exc}") from exc

@@ -169,7 +169,7 @@ class GaussianMixture:
         point = np.asarray(x, dtype=float).reshape(self.dimension)
         if self.size == 0:
             return 0.0
-        densities = _batch_gaussian_density(point[np.newaxis, :], self.means, self.covariances)
+        densities = _gaussian_density((point - self.means)[np.newaxis], self.covariances)
         return float(densities[0] @ self.weights)
 
     def allclose(self, other: "GaussianMixture", rtol: float = 1e-12, atol: float = 1e-12) -> bool:
@@ -183,37 +183,23 @@ class GaussianMixture:
         )
 
 
-def _batch_gaussian_density(
-    points: np.ndarray, means: np.ndarray, covariances: np.ndarray
-) -> np.ndarray:
-    """Densities ``N(points[m]; means[l], covariances[l])`` as an ``(M, J)`` array."""
-    dim = means.shape[-1]
-    diff = points[:, np.newaxis, :] - means[np.newaxis, :, :]
+def _gaussian_density(diff: np.ndarray, covariances: np.ndarray) -> np.ndarray:
+    """Densities ``N(diff[m, l]; 0, C[m, l])`` as an ``(M, L)`` array.
+
+    ``diff`` has shape ``(M, L, d)``.  ``C`` is ``covariances``, either an
+    ``(M, L, d, d)`` stack or an ``(L, d, d)`` one shared by every row.  Each
+    covariance is Cholesky-factorised once, and the quadratic form is
+    ``|y|^2`` where the factor times ``y`` is ``diff``.  Raises
+    ``numpy.linalg.LinAlgError`` when a covariance is not positive definite.
+    """
+    dim = diff.shape[-1]
     chol = np.linalg.cholesky(covariances)
-    # Solve L y = diff for each (point, component) pair; quadratic form is |y|^2.
-    solved = np.linalg.solve(
-        np.broadcast_to(chol, (points.shape[0],) + chol.shape), diff[..., np.newaxis]
-    )[..., 0]
+    stacked = np.broadcast_to(chol, diff.shape + (dim,))
+    solved = np.linalg.solve(stacked, diff[..., np.newaxis])[..., 0]
     quad = np.einsum("mld,mld->ml", solved, solved)
     logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
     log_density = -0.5 * (quad + logdet + dim * np.log(2.0 * np.pi))
     return np.exp(log_density)
-
-
-def _pairwise_cross_density(f: GaussianMixture, g: GaussianMixture) -> np.ndarray:
-    """``N(f.means[i]; g.means[j], f.cov[i] + g.cov[j])`` as an ``(I, J)`` array.
-
-    Raises ``numpy.linalg.LinAlgError`` when a covariance sum is singular.
-    """
-    dim = f.dimension
-    cov_sum = f.covariances[:, np.newaxis] + g.covariances[np.newaxis, :]
-    diff = f.means[:, np.newaxis, :] - g.means[np.newaxis, :, :]
-    solved = np.linalg.solve(cov_sum, diff[..., np.newaxis])[..., 0]
-    quad = np.einsum("ijd,ijd->ij", diff, solved)
-    sign, logdet = np.linalg.slogdet(cov_sum)
-    if np.any(sign <= 0):
-        raise np.linalg.LinAlgError("covariance sum is not positive definite")
-    return np.exp(-0.5 * (quad + logdet + dim * np.log(2.0 * np.pi)))
 
 
 def _pairwise_mahalanobis2(
@@ -438,7 +424,10 @@ def l2_inner_product(f: GaussianMixture, g: GaussianMixture) -> float:
         raise ValueError("mixtures must share one state dimension")
     if f.size == 0 or g.size == 0:
         return 0.0
-    cross = _pairwise_cross_density(f, g)
+    cross = _gaussian_density(
+        f.means[:, np.newaxis, :] - g.means[np.newaxis, :, :],
+        f.covariances[:, np.newaxis] + g.covariances[np.newaxis, :],
+    )
     return float(f.weights @ cross @ g.weights)
 
 

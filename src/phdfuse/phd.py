@@ -21,7 +21,7 @@ import numpy as np
 
 from .gaussian import (
     GaussianMixture,
-    _batch_gaussian_density,
+    _gaussian_density,
     cap,
     merge,
     mixture_sum,
@@ -292,7 +292,8 @@ def update(
         updated_cov = IKH @ prior.covariances
     updated_cov = symmetrize(updated_cov)
 
-    likelihood = _batch_gaussian_density(Z, predicted_z, S)
+    diff = Z[:, np.newaxis, :] - predicted_z[np.newaxis, :, :]
+    likelihood = _gaussian_density(diff, S)
 
     detection_weight = p_d * prior.weights
     q = likelihood * detection_weight[np.newaxis, :]
@@ -302,7 +303,6 @@ def update(
     denominator = kappa + q.sum(axis=1)
 
     parts = [missed]
-    diff = Z[:, np.newaxis, :] - predicted_z[np.newaxis, :, :]
     innovations = np.einsum("lde,mle->mld", gain, diff)
     # Every block shares updated_cov, so only the first kept block checks it.
     build = GaussianMixture

@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
 
-from .gaussian import GaussianMixture
+from .gaussian import GaussianMixture, cap
 
 __all__ = [
     "PolicyTag",
@@ -179,44 +179,30 @@ class CostRecord:
     components: int
 
 
-def _explicit_entries(gm: GaussianMixture, indices: np.ndarray, weights: np.ndarray) -> tuple[TransmissionEntry, ...]:
-    return tuple(
-        TransmissionEntry(
-            mean=gm.means[l], covariance=gm.covariances[l], weight=float(weights[pos])
-        )
-        for pos, l in enumerate(indices)
+def _explicit(
+    tag: PolicyTag, gm: GaussianMixture, indices: np.ndarray, weights: np.ndarray
+) -> Transmission:
+    """Send the components of ``gm`` at ``indices``, each with the matching
+    entry of ``weights`` carried verbatim."""
+    entries = tuple(
+        TransmissionEntry(mean=gm.means[l], covariance=gm.covariances[l], weight=float(w))
+        for l, w in zip(indices, weights)
     )
+    return Transmission(tag, entries, None, gm.dimension)
 
 
 def select_full(gm: GaussianMixture) -> Transmission:
     """Broadcast every component with its exact weight."""
-    indices = np.arange(gm.size)
-    return Transmission(
-        policy=PolicyTag.FULL,
-        entries=_explicit_entries(gm, indices, gm.weights),
-        shared_weight=None,
-        dimension=gm.dimension,
-    )
-
-
-def _top_indices(weights: np.ndarray, budget: int) -> np.ndarray:
-    """Indices of the ``budget`` largest weights, earlier index wins ties,
-    returned in original order."""
-    order = np.argsort(-weights, kind="stable")
-    return np.sort(order[:budget])
+    return _explicit(PolicyTag.FULL, gm, np.arange(gm.size), gm.weights)
 
 
 def select_rank(gm: GaussianMixture, bandwidth: int) -> Transmission:
-    """Broadcast the ``bandwidth`` highest-weight components verbatim."""
+    """Broadcast the ``bandwidth`` highest-weight components verbatim: those
+    ``gaussian.cap`` keeps, in their original order."""
     if bandwidth < 1:
         raise ValueError("bandwidth must be at least 1")
-    indices = _top_indices(gm.weights, bandwidth) if gm.size > bandwidth else np.arange(gm.size)
-    return Transmission(
-        policy=PolicyTag.RANK,
-        entries=_explicit_entries(gm, indices, gm.weights[indices]),
-        shared_weight=None,
-        dimension=gm.dimension,
-    )
+    kept = cap(gm, bandwidth)
+    return _explicit(PolicyTag.RANK, kept, np.arange(kept.size), kept.weights)
 
 
 def select_threshold(gm: GaussianMixture, tau: float) -> Transmission:
@@ -224,12 +210,7 @@ def select_threshold(gm: GaussianMixture, tau: float) -> Transmission:
     if not tau >= 0.0:
         raise ValueError("tau must be non-negative")
     indices = np.flatnonzero(gm.weights > tau)
-    return Transmission(
-        policy=PolicyTag.THRESHOLD,
-        entries=_explicit_entries(gm, indices, gm.weights[indices]),
-        shared_weight=None,
-        dimension=gm.dimension,
-    )
+    return _explicit(PolicyTag.THRESHOLD, gm, indices, gm.weights[indices])
 
 
 def _sampling_probabilities(gm: GaussianMixture) -> np.ndarray:
@@ -290,12 +271,7 @@ def sample_with_replacement(
         if positive.size <= budget:
             # The stop-at-B-distinct loop cannot terminate when the budget is
             # vacuous; send every positive-weight component exactly instead.
-            return Transmission(
-                policy=PolicyTag.SAMPLE_REPLACEMENT,
-                entries=_explicit_entries(gm, positive, gm.weights[positive]),
-                shared_weight=None,
-                dimension=gm.dimension,
-            )
+            return _explicit(PolicyTag.SAMPLE_REPLACEMENT, gm, positive, gm.weights[positive])
         counts = _draw_until_b_distinct(probabilities, budget, rng)
     draws_taken = int(counts.sum())
     shared = gm.total_weight() / draws_taken
@@ -391,30 +367,18 @@ def sample_without_replacement(
     with the exact inclusion probabilities of ``inclusion_probabilities``, so
     that the expected reconstructed weight of every component equals its
     original weight.
+
+    A mixture of at most B components, the empty one included, is sent whole
+    with its exact weights, and nothing is drawn from ``rng``.
     """
-    if gm.size == 0:
-        raise ValueError("cannot sample from an empty mixture")
-    budget = config.bandwidth
-    if budget > gm.size:
-        raise ValueError(f"bandwidth {budget} exceeds the component count {gm.size}")
     if np.any(gm.weights <= 0.0):
         raise ValueError("sampling without replacement requires strictly positive weights")
-    if budget == gm.size:
-        indices = np.arange(gm.size)
-        return Transmission(
-            policy=PolicyTag.SAMPLE_NO_REPLACEMENT,
-            entries=_explicit_entries(gm, indices, gm.weights),
-            shared_weight=None,
-            dimension=gm.dimension,
-        )
+    budget = config.bandwidth
+    if gm.size <= budget:
+        return _explicit(PolicyTag.SAMPLE_NO_REPLACEMENT, gm, np.arange(gm.size), gm.weights)
     indices = _exponential_key_selection(gm.weights, budget, rng)
     corrected = gm.weights[indices] / inclusion_probabilities(gm.weights, budget, indices)
-    return Transmission(
-        policy=PolicyTag.SAMPLE_NO_REPLACEMENT,
-        entries=_explicit_entries(gm, indices, corrected),
-        shared_weight=None,
-        dimension=gm.dimension,
-    )
+    return _explicit(PolicyTag.SAMPLE_NO_REPLACEMENT, gm, indices, corrected)
 
 
 def reconstruct(transmission: Transmission) -> GaussianMixture:
@@ -571,28 +535,13 @@ class SampleWithReplacementPolicy:
 
 @dataclass(frozen=True)
 class SampleWithoutReplacementPolicy:
-    """Sampling without replacement with the budget clamped to the mixture size.
-
-    The underlying selection requires B <= J, so a mixture smaller than the
-    budget is sent whole (the B = J identity selection), and an empty mixture
-    sends an empty transmission.
-    """
-
     config: SamplingConfig
     tag: PolicyTag = PolicyTag.SAMPLE_NO_REPLACEMENT
 
     def select(self, gm: GaussianMixture, rng: np.random.Generator | None = None) -> Transmission:
         if rng is None:
             raise ValueError("sampling policies need a random generator")
-        if gm.size == 0:
-            return Transmission(
-                policy=PolicyTag.SAMPLE_NO_REPLACEMENT,
-                entries=(),
-                shared_weight=None,
-                dimension=gm.dimension,
-            )
-        config = replace(self.config, bandwidth=min(self.config.bandwidth, gm.size))
-        return sample_without_replacement(gm, config, rng)
+        return sample_without_replacement(gm, self.config, rng)
 
 
 @dataclass(frozen=True)

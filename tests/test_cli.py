@@ -126,6 +126,23 @@ def test_run_rejects_invalid_sampling_setting_before_any_run(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [{"phd": {"bogus": 1}}, {"scenario_overrides": {"bogus": 1}}, {"alpha": "3"}, []],
+)
+def test_run_rejects_malformed_config_with_exit_2(payload, tmp_path, capsys):
+    # A key the nested config does not have, a value of the wrong type or a
+    # file that holds no JSON object is a configuration error, not a failed
+    # run: exit 2 with nothing written.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(config), "--runs", "1", "--output-dir", str(out)])
+    assert code == 2
+    assert "invalid experiment config" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compare_writes_pairwise_outputs(tiny_config, tmp_path, capsys):
     out = tmp_path / "out"
     code = main(

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from phdfuse import consensus
 from phdfuse.consensus import (
     ConsensusWeights,
     SensorNetwork,
@@ -12,7 +13,12 @@ from phdfuse.consensus import (
     validate_weights,
     waa,
 )
-from phdfuse.gaussian import GaussianMixture, coalesce_duplicates, l2_distance
+from phdfuse.gaussian import (
+    GaussianMixture,
+    _pairwise_mahalanobis2,
+    coalesce_duplicates,
+    l2_distance,
+)
 from phdfuse.phd import PhdConfig
 from phdfuse.policies import FullPolicy, RankPolicy, SampleWithReplacementPolicy, SamplingConfig
 from conftest import random_mixture, single_gaussian
@@ -348,12 +354,59 @@ class TestPartialFusionBitExact:
             (0.125, nearby_mixture(rng, own, max(1, size // 8))),
             (0.125, GaussianMixture.empty(dim)),
         ]
+        assert_bit_identical(
+            partial_fusion(own, received, 0.5, 15.0),
+            reference_partial_fusion(own, received, 0.5, 15.0),
+        )
+
+    @pytest.mark.parametrize("case", ["zero_weights", "two_senders_one_target", "only_empty"])
+    def test_edge_cases_match_solve_based_matching(self, case):
+        rng = np.random.default_rng(7)
+        own = random_mixture(rng, dim=2, min_components=6, max_components=6)
+        if case == "zero_weights":
+            # Zero own weights at even indices and zero received weights, so
+            # every group matched to an even index has total weight 0.
+            own = GaussianMixture(
+                np.where(np.arange(6) % 2 == 0, 0.0, own.weights), own.means, own.covariances
+            )
+            heard = nearby_mixture(rng, own, 12)
+            received = [(0.25, GaussianMixture(np.zeros(12), heard.means, heard.covariances))]
+        elif case == "two_senders_one_target":
+            # Each sender reports one component next to own component 0.
+            received = [
+                (link, single_gaussian(weight, own.means[0] + offset, own.covariances[0]))
+                for link, weight, offset in ((0.25, 0.7, 0.1), (0.125, 1.3, -0.2))
+            ]
+        else:
+            received = [(0.25, GaussianMixture.empty(2)), (0.25, GaussianMixture.empty(2))]
         fused = partial_fusion(own, received, 0.5, 15.0)
         expected = reference_partial_fusion(own, received, 0.5, 15.0)
-        for name in ("weights", "means", "covariances"):
-            actual, wanted = getattr(fused, name), getattr(expected, name)
-            assert np.array_equal(actual, wanted), name
-            np.testing.assert_array_equal(actual.view(np.uint64), wanted.view(np.uint64))
+        assert_bit_identical(fused, expected)
+        if case == "two_senders_one_target":
+            assert fused.size == own.size
+            assert not np.array_equal(fused.means[0], own.means[0])
+
+    def test_one_kernel_call_per_fusion(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        own = random_mixture(rng, dim=2, min_components=8, max_components=8)
+        received = [(0.25, nearby_mixture(rng, own, 5)) for _ in range(3)]
+        received.append((0.125, GaussianMixture.empty(2)))
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0].shape[0])
+            return _pairwise_mahalanobis2(*args)
+
+        monkeypatch.setattr(consensus, "_pairwise_mahalanobis2", counting)
+        partial_fusion(own, received, 0.25, 15.0)
+        assert calls == [15]
+
+
+def assert_bit_identical(actual_gm, expected_gm):
+    for name in ("weights", "means", "covariances"):
+        actual, wanted = getattr(actual_gm, name), getattr(expected_gm, name)
+        assert np.array_equal(actual, wanted), name
+        np.testing.assert_array_equal(actual.view(np.uint64), wanted.view(np.uint64))
 
 
 class TestConsensusRound:

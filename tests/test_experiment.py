@@ -669,5 +669,19 @@ class TestLoadConfig:
     def test_invalid_field_values_propagate(self):
         with pytest.raises(ValueError, match="unknown algorithm"):
             load_experiment_config({"algorithm": "bogus"})
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="invalid experiment config"):
             load_experiment_config({"phd": {"bogus_field": 1}})
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"ospa": {"bogus": 1}},
+            {"scenario_overrides": {"bogus": 1}},
+            {"scenario_overrides": {"region": {"bogus": 1}}},
+            {"scenario_overrides": {"targets": [{"start": 1, "end": 5}]}},
+            {"alpha": "3"},
+        ],
+    )
+    def test_malformed_config_is_a_value_error(self, payload):
+        with pytest.raises(ValueError, match="invalid experiment config"):
+            load_experiment_config(payload)

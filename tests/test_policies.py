@@ -241,24 +241,25 @@ class TestSampleWithoutReplacement:
         np.testing.assert_array_equal(back.means, gm.means)
 
     def test_validation(self):
-        gm = weights_mixture([1.0, 2.0, 3.0])
         rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match="exceeds the component count"):
-            sample_without_replacement(
-                gm, SamplingConfig(bandwidth=4), rng
-            )
         with pytest.raises(ValueError, match="strictly positive"):
             sample_without_replacement(
                 weights_mixture([0.0, 1.0, 2.0]),
                 SamplingConfig(bandwidth=2),
                 rng,
             )
-        with pytest.raises(ValueError, match="empty"):
-            sample_without_replacement(
-                GaussianMixture.empty(2),
-                SamplingConfig(bandwidth=1),
-                rng,
-            )
+        # J < B, J = B and the empty mixture are sent whole, drawing nothing.
+        wholes = (weights_mixture([1.0, 2.0, 3.0]), weights_mixture([1.0, 2.0, 3.0, 4.0]))
+        for gm in wholes + (GaussianMixture.empty(2),):
+            state = rng.bit_generator.state
+            tx = sample_without_replacement(gm, SamplingConfig(bandwidth=4), rng)
+            assert rng.bit_generator.state == state
+            assert tx.policy is PolicyTag.SAMPLE_NO_REPLACEMENT and not tx.uses_counts
+            assert tx.dimension == 2
+            assert [entry.weight for entry in tx] == gm.weights.tolist()
+            back = reconstruct(tx)
+            np.testing.assert_array_equal(back.means, gm.means)
+            np.testing.assert_array_equal(back.covariances, gm.covariances)
 
     def test_inclusion_probabilities_sum_to_budget(self):
         # Weights spanning twelve decades, as pruned mixtures never reach.
