@@ -256,9 +256,12 @@ def partial_fusion(
     coefficient.
 
     Everything heard is stacked once, in (sender, component) order, and
-    matched with a single distance-kernel call.  Matched shares and each
-    reporting sender's coefficient are accumulated in that same order, so
-    the result is the one a loop over senders and their components gives.
+    matched with a single distance-kernel call on the heard mixtures' own
+    whitening factors, so nothing heard is factorised again.  Matched shares
+    and each reporting sender's coefficient are accumulated in that same
+    order, so the result is the one a loop over senders and their components
+    gives.  The output's covariances are new, so its constructor factorises
+    them.
     """
     if not match_threshold >= 0.0:
         raise ValueError(f"match_threshold must be non-negative, got {match_threshold}")
@@ -275,12 +278,11 @@ def partial_fusion(
     links = np.array([link for link, _ in heard], dtype=float)
     sender = np.repeat(np.arange(len(heard)), [mixture.size for _, mixture in heard])
     shares = np.concatenate([link * mixture.weights for link, mixture in heard])
-    in_means = np.concatenate([mixture.means for _, mixture in heard])
-    in_covs = np.concatenate([mixture.covariances for _, mixture in heard])
+    pooled = mixture_sum([mixture for _, mixture in heard])
     if count == 0:
         assign = np.full(shares.size, -1)
     else:
-        dist2 = _pairwise_mahalanobis2(in_means, in_covs, own.means)
+        dist2 = _pairwise_mahalanobis2(pooled.means, pooled.whiten, own.means)
         assign = np.argmin(dist2, axis=1)
         assign[dist2[np.arange(shares.size), assign] > match_threshold] = -1
     hit = assign >= 0
@@ -296,8 +298,8 @@ def partial_fusion(
         if total <= 0.0:
             continue
         lams /= total
-        points = np.concatenate([own.means[c : c + 1], in_means[rows]])
-        spreads = np.concatenate([own.covariances[c : c + 1], in_covs[rows]])
+        points = np.concatenate([own.means[c : c + 1], pooled.means[rows]])
+        spreads = np.concatenate([own.covariances[c : c + 1], pooled.covariances[rows]])
         centre = lams @ points
         delta = points - centre
         covs[c] = np.einsum("p,pij->ij", lams, spreads) + np.einsum(
@@ -306,8 +308,8 @@ def partial_fusion(
         means[c] = centre
     extra = ~hit
     weights = np.concatenate([weights, shares[extra]])
-    means = np.concatenate([means, in_means[extra]])
-    covs = np.concatenate([covs, in_covs[extra]])
+    means = np.concatenate([means, pooled.means[extra]])
+    covs = np.concatenate([covs, pooled.covariances[extra]])
     return coalesce_duplicates(GaussianMixture(weights, means, covs, dimension=dim))
 
 

@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -68,6 +69,23 @@ __all__ = [
 
 CSV_SCHEMA_VERSION = 1
 
+# The classes each scalar annotation accepts (numpy integers are Integral).
+_SCALARS = {int: numbers.Integral, float: numbers.Real, bool: bool, str: str}
+
+
+def _check_field_types(config, prefix: str = "") -> None:
+    """Raise ``TypeError`` for a scalar field of ``config`` whose value its
+    annotation rejects: a bool is only ever a bool; ``X | None`` takes None."""
+    hints = get_type_hints(type(config))
+    for f in fields(config):
+        kinds = get_args(hints[f.name]) or (hints[f.name],)
+        wanted = tuple(_SCALARS[kind] for kind in kinds if kind in _SCALARS)
+        value = getattr(config, f.name)
+        if not wanted or value is None and type(None) in kinds:
+            continue
+        if not isinstance(value, wanted) or isinstance(value, bool) and bool not in wanted:
+            raise TypeError(f"{prefix}{f.name} must be {f.type}, got {value!r}")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -90,6 +108,9 @@ class ExperimentConfig:
     ospa_full_state: bool = False
 
     def __post_init__(self) -> None:
+        sections = (("", self), ("scenario.", self.scenario), ("phd.", self.phd), ("ospa.", self.ospa))
+        for prefix, config in sections:
+            _check_field_types(config, prefix)
         lookup_algorithm(self.algorithm)
         if self.alpha < 0:
             raise ValueError("alpha must be non-negative")

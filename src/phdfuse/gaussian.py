@@ -34,26 +34,16 @@ __all__ = [
 ]
 
 _SYMMETRY_TOL = 1e-12
+# The per-component arrays of a mixture, in the order ``_factored`` takes them.
+_ARRAYS = ("weights", "means", "covariances", "whiten")
 
 
-def _as_readonly(array: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(array, dtype=float)
-    if out is array or out.base is array:
-        out = out.copy()
-    out.flags.writeable = False
-    return out
-
-
-def _check_covariances(covariances: np.ndarray) -> None:
-    """Reject covariance stacks that are asymmetric or not positive definite."""
-    transposed = np.swapaxes(covariances, -1, -2)
-    scale_ref = np.maximum(np.abs(covariances).max(axis=(-1, -2)), 1.0)
-    asym = np.abs(covariances - transposed).max(axis=(-1, -2))
-    if np.any(asym > _SYMMETRY_TOL * scale_ref):
-        worst = int(np.argmax(asym / scale_ref))
-        raise ValueError(f"covariance {worst} is not symmetric (max asymmetry {asym.max():.3e})")
+def _whitening(covariances: np.ndarray) -> np.ndarray:
+    """The whitening factors ``inv(cholesky(C))`` of a stack of covariances;
+    ``ValueError`` if one is not positive definite.  The only place a mixture
+    covariance is factorised."""
     try:
-        np.linalg.cholesky(covariances)
+        return np.linalg.inv(np.linalg.cholesky(covariances))
     except np.linalg.LinAlgError as exc:
         raise ValueError("every covariance must be positive definite") from exc
 
@@ -80,12 +70,16 @@ class GaussianMixture:
         covariances: shape ``(J, d, d)``, each symmetric positive definite.
         dimension: the state dimension ``d`` (kept explicitly so that an
             empty mixture still knows what space it lives in).
+        whiten: shape ``(J, d, d)``, ``inv(cholesky(covariances))``.  It is
+            computed once, when a covariance is first checked, and every
+            operation that keeps a covariance keeps its factor with it.
     """
 
     weights: np.ndarray
     means: np.ndarray
     covariances: np.ndarray
     dimension: int = field(default=-1)
+    whiten: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
@@ -103,55 +97,47 @@ class GaussianMixture:
         dim = int(self.dimension)
         if dim <= 0:
             raise ValueError(f"state dimension must be positive, got {dim}")
-        means = means.reshape(count, dim) if count else means.reshape(0, dim)
-        covariances = covariances.reshape(count, dim, dim) if count else covariances.reshape(0, dim, dim)
+        means, covariances = means.reshape(count, dim), covariances.reshape(count, dim, dim)
         _check_values(weights, means, covariances)
-        if count:
-            _check_covariances(covariances)
-        object.__setattr__(self, "weights", _as_readonly(weights))
-        object.__setattr__(self, "means", _as_readonly(means))
-        object.__setattr__(self, "covariances", _as_readonly(covariances))
+        scale_ref = np.maximum(np.abs(covariances).max(axis=(-1, -2)), 1.0)
+        asym = np.abs(covariances - np.swapaxes(covariances, -1, -2)).max(axis=(-1, -2))
+        if np.any(asym > _SYMMETRY_TOL * scale_ref):
+            worst = int(np.argmax(asym / scale_ref))
+            raise ValueError(f"covariance {worst} is not symmetric (max asymmetry {asym.max():.3e})")
+        arrays = [np.array(a, order="C") for a in (weights, means, covariances)]
+        self._adopt(*arrays, _whitening(arrays[2]))
+
+    def _adopt(self, *arrays: np.ndarray) -> None:
+        """Store weights, means, covariances and whiten, read-only and uncopied."""
+        for name, array in zip(_ARRAYS, arrays):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @classmethod
-    def _with_checked_covariances(
-        cls, weights: np.ndarray, means: np.ndarray, covariances: np.ndarray, dimension: int
+    def _factored(
+        cls, weights: np.ndarray, means: np.ndarray, covariances: np.ndarray, whiten: np.ndarray
     ) -> "GaussianMixture":
-        """Adopt float arrays as a mixture without copying them or re-running
-        ``_check_covariances``.
+        """Adopt float arrays as a mixture without copying them or factorising.
 
-        Only for a covariance stack that is, bitwise, a subset, repeat or
-        concatenation of stacks that already passed that check (each matrix is
-        checked on its own, so such a stack passes it again).  The arrays
-        themselves are marked read-only, so they must be ones the caller just
-        built, or arrays of an existing mixture.  Shapes, weights, means and
-        finiteness are still checked.
+        ``whiten`` must be ``_whitening(covariances)``, or have been indexed or
+        concatenated alongside ``covariances`` from the factors of mixtures.
+        The arrays themselves are marked read-only, so they must be ones the
+        caller just built, or arrays of an existing mixture.  Shapes, weights,
+        means and finiteness are still checked.
         """
-        count = len(weights)
-        if (
-            weights.shape != (count,)
-            or means.shape != (count, dimension)
-            or covariances.shape != (count, dimension, dimension)
-        ):
-            raise ValueError(
-                f"shapes {weights.shape}, {means.shape} and {covariances.shape} do not form "
-                f"a mixture of dimension {dimension}"
-            )
+        count, dim = len(weights), means.shape[-1]
+        shapes = (weights.shape, means.shape, covariances.shape, whiten.shape)
+        if shapes != ((count,), (count, dim), (count, dim, dim), (count, dim, dim)):
+            raise ValueError(f"shapes {shapes} do not form a mixture")
         _check_values(weights, means, covariances)
         gm = object.__new__(cls)
-        for name, array in (("weights", weights), ("means", means), ("covariances", covariances)):
-            array.flags.writeable = False
-            object.__setattr__(gm, name, array)
-        object.__setattr__(gm, "dimension", dimension)
+        object.__setattr__(gm, "dimension", dim)
+        gm._adopt(weights, means, covariances, whiten)
         return gm
 
     @classmethod
     def empty(cls, dimension: int) -> "GaussianMixture":
-        return cls(
-            weights=np.empty(0),
-            means=np.empty((0, dimension)),
-            covariances=np.empty((0, dimension, dimension)),
-            dimension=dimension,
-        )
+        return cls(np.empty(0), np.empty((0, dimension)), np.empty((0, dimension, dimension)), dimension)
 
     @property
     def size(self) -> int:
@@ -202,28 +188,26 @@ def _gaussian_density(diff: np.ndarray, covariances: np.ndarray) -> np.ndarray:
     return np.exp(log_density)
 
 
-def _pairwise_mahalanobis2(
-    centres: np.ndarray, covariances: np.ndarray, points: np.ndarray
-) -> np.ndarray:
+def _pairwise_mahalanobis2(centres: np.ndarray, whiten: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Squared Mahalanobis distances as a ``(J, I)`` array: entry ``[j, i]`` is
-    ``(points[i] - centres[j])^T covariances[j]^{-1} (points[i] - centres[j])``,
-    each row in the metric of its own centre.
+    ``(points[i] - centres[j])^T C_j^{-1} (points[i] - centres[j])``, each row
+    in the metric of its own centre's covariance ``C_j``.
 
-    Each covariance is whitened by its Cholesky factor, ``W_j = L_j^{-1}`` with
-    ``covariances[j] = L_j L_j^T``, so the entry is ``|W_j (points[i] - o) -
-    W_j (centres[j] - o)|^2`` for any origin ``o``.  One GEMM forms every such
-    difference: the left side stacks the rows ``[W_j | -W_j (centres[j] - o)]``
-    and the right side is the shifted points with a row of ones below.  The
-    origin is the points' mean, so the two terms of each difference have the
-    size of the points' spread, not of their distance from the origin, and
-    the result agrees with a direct ``solve`` to about ``1e-13`` relative
-    wherever a distance is not tiny next to that spread.  (Expanding
-    ``x^T A x - 2 c^T A x + c^T A c`` instead cancels terms of the size of
-    the squared offset and is not accurate.)
+    ``whiten[j]`` is that covariance's whitening factor (a mixture's
+    ``whiten``), ``W_j = L_j^{-1}`` with ``C_j = L_j L_j^T``, so the entry is
+    ``|W_j (points[i] - o) - W_j (centres[j] - o)|^2`` for any origin ``o``.
+    One GEMM forms every such difference: the left side stacks the rows
+    ``[W_j | -W_j (centres[j] - o)]`` and the right side is the shifted
+    points with a row of ones below.  The origin is the points' mean, so the
+    two terms of each difference have the size of the points' spread, not of
+    their distance from the origin, and the result agrees with a direct
+    ``solve`` to about ``1e-13`` relative wherever a distance is not tiny
+    next to that spread.  (Expanding ``x^T A x - 2 c^T A x + c^T A c``
+    instead cancels terms of the size of the squared offset and is not
+    accurate.)
     """
     count, dim = centres.shape
     origin = points.mean(axis=0)
-    whiten = np.linalg.inv(np.linalg.cholesky(covariances))
     left = np.empty((count, dim, dim + 1))
     left[:, :, :dim] = whiten
     left[:, :, dim] = -np.einsum("jde,je->jd", whiten, centres - origin)
@@ -251,11 +235,8 @@ def mixture_sum(mixtures: Sequence[GaussianMixture]) -> GaussianMixture:
         return GaussianMixture.empty(dim)
     if len(parts) == 1:
         return parts[0]
-    return GaussianMixture._with_checked_covariances(
-        np.concatenate([gm.weights for gm in parts]),
-        np.concatenate([gm.means for gm in parts]),
-        np.concatenate([gm.covariances for gm in parts]),
-        dim,
+    return GaussianMixture._factored(
+        *(np.concatenate([getattr(gm, name) for gm in parts]) for name in _ARRAYS)
     )
 
 
@@ -266,16 +247,12 @@ def scale(gm: GaussianMixture, factor: float) -> GaussianMixture:
         raise ValueError(f"scale factor must be finite and non-negative, got {factor}")
     if gm.size == 0:
         return gm
-    return GaussianMixture._with_checked_covariances(
-        gm.weights * factor, gm.means, gm.covariances, gm.dimension
-    )
+    return GaussianMixture._factored(gm.weights * factor, gm.means, gm.covariances, gm.whiten)
 
 
 def _subset(gm: GaussianMixture, index: np.ndarray) -> GaussianMixture:
     """The components of ``gm`` selected by a boolean mask or index array."""
-    return GaussianMixture._with_checked_covariances(
-        gm.weights[index], gm.means[index], gm.covariances[index], gm.dimension
-    )
+    return GaussianMixture._factored(*(getattr(gm, name)[index] for name in _ARRAYS))
 
 
 def prune(gm: GaussianMixture, threshold: float) -> GaussianMixture:
@@ -304,10 +281,11 @@ def merge(gm: GaussianMixture, merge_threshold: float) -> GaussianMixture:
     weight is preserved exactly up to floating-point summation.
 
     The distances come from ``_pairwise_mahalanobis2``: each candidate's
-    Cholesky whitening, applied in one GEMM to the means shifted by their
-    mean.  Near thresholds like the default 15 they agree with a direct
-    ``solve`` to about ``1e-13`` relative, so only a distance that close to
-    the threshold could land on the other side of it.
+    whitening factor ``gm.whiten``, applied in one GEMM to the means shifted
+    by their mean.  Near thresholds like the default 15 they agree with a
+    direct ``solve`` to about ``1e-13`` relative, so only a distance that
+    close to the threshold could land on the other side of it.  The input is
+    not factorised again; only the merged outputs are, for their ``whiten``.
 
     Groups of equal size are moment-matched together, one batch per size.
     Each group's members are summed in index order with the same numpy and
@@ -321,7 +299,7 @@ def merge(gm: GaussianMixture, merge_threshold: float) -> GaussianMixture:
     weights, means, covs = gm.weights, gm.means, gm.covariances
     count = gm.size
     # close[lead, j]: component j lies within the threshold of lead, in j's metric.
-    close = _pairwise_mahalanobis2(means, covs, means).T <= merge_threshold
+    close = _pairwise_mahalanobis2(means, gm.whiten, means).T <= merge_threshold
     # A lead always joins its own group, even if its whitening overflowed and
     # made its own distance NaN.
     np.fill_diagonal(close, True)
@@ -370,7 +348,8 @@ def merge(gm: GaussianMixture, merge_threshold: float) -> GaussianMixture:
     empty = np.flatnonzero(out_w == 0.0)
     out_m[empty] = means[leads_of[empty]]
     out_p[empty] = covs[leads_of[empty]]
-    return GaussianMixture(out_w, out_m, symmetrize(out_p), dimension=gm.dimension)
+    out_p = symmetrize(out_p)  # exactly symmetric, so only the factor is left to check
+    return GaussianMixture._factored(out_w, out_m, out_p, _whitening(out_p))
 
 
 def cap(gm: GaussianMixture, max_components: int) -> GaussianMixture:
@@ -413,9 +392,7 @@ def coalesce_duplicates(gm: GaussianMixture) -> GaussianMixture:
     slot = (np.cumsum(is_first) - 1)[first_of]
     sums = gm.weights[first].copy()
     np.add.at(sums, slot[~is_first], gm.weights[~is_first])
-    return GaussianMixture._with_checked_covariances(
-        sums, gm.means[first], gm.covariances[first], gm.dimension
-    )
+    return GaussianMixture._factored(sums, gm.means[first], gm.covariances[first], gm.whiten[first])
 
 
 def l2_inner_product(f: GaussianMixture, g: GaussianMixture) -> float:

@@ -27,16 +27,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OspaConfig:
-    """Order ``p`` (>= 1) and cutoff ``c`` (> 0) of the OSPA metric."""
+    """Order ``p`` (finite, >= 1) and cutoff ``c`` (finite, > 0) of the OSPA metric."""
 
     order: float = 1.0
     cutoff: float = 100.0
 
     def __post_init__(self) -> None:
-        if not self.order >= 1.0:
-            raise ValueError("OSPA order must be >= 1")
-        if not self.cutoff > 0.0:
-            raise ValueError("OSPA cutoff must be positive")
+        if not 1.0 <= self.order < math.inf:
+            raise ValueError("OSPA order must be finite and >= 1")
+        if not 0.0 < self.cutoff < math.inf:
+            raise ValueError("OSPA cutoff must be finite and positive")
 
 
 @dataclass(frozen=True)

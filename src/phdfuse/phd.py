@@ -22,6 +22,7 @@ import numpy as np
 from .gaussian import (
     GaussianMixture,
     _gaussian_density,
+    _whitening,
     cap,
     merge,
     mixture_sum,
@@ -270,8 +271,8 @@ def update(
     p_d = np.asarray(sensor.detection_probability(prior.means), dtype=float)
     if p_d.shape != (prior.size,):
         raise ValueError("detection_probability must return one value per state")
-    missed = GaussianMixture._with_checked_covariances(
-        prior.weights * (1.0 - p_d), prior.means, prior.covariances, prior.dimension
+    missed = GaussianMixture._factored(
+        prior.weights * (1.0 - p_d), prior.means, prior.covariances, prior.whiten
     )
     if Z.shape[0] == 0:
         return missed
@@ -304,15 +305,14 @@ def update(
 
     parts = [missed]
     innovations = np.einsum("lde,mle->mld", gain, diff)
-    # Every block shares updated_cov, so only the first kept block checks it.
-    build = GaussianMixture
-    for m in range(Z.shape[0]):
-        if not np.any(q[m] > 0.0):
-            continue
+    kept = [m for m in range(Z.shape[0]) if np.any(q[m] > 0.0)]
+    # Every kept block shares updated_cov, and so its one factor.
+    whiten = _whitening(updated_cov) if kept else None
+    for m in kept:
         if denominator[m] <= 0.0:
             raise ZeroDivisionError("zero normaliser with nonzero detection weights")
-        parts.append(build(q[m] / denominator[m], prior.means + innovations[m], updated_cov, dim_x))
-        build = GaussianMixture._with_checked_covariances
+        means = prior.means + innovations[m]
+        parts.append(GaussianMixture._factored(q[m] / denominator[m], means, updated_cov, whiten))
     return mixture_sum(parts)
 
 

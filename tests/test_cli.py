@@ -128,7 +128,16 @@ def test_run_rejects_invalid_sampling_setting_before_any_run(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "payload",
-    [{"phd": {"bogus": 1}}, {"scenario_overrides": {"bogus": 1}}, {"alpha": "3"}, []],
+    [
+        {"phd": {"bogus": 1}},
+        {"scenario_overrides": {"bogus": 1}},
+        {"alpha": "3"},
+        [],
+        {"bandwidth": 2.5},
+        {"alpha": True},
+        {"phd": {"max_components": 2.5}},
+        {"scenario_overrides": {"horizon": 2.5}},
+    ],
 )
 def test_run_rejects_malformed_config_with_exit_2(payload, tmp_path, capsys):
     # A key the nested config does not have, a value of the wrong type or a

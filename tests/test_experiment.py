@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 from dataclasses import fields, replace
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from phdfuse.experiment import (
     write_summary_csv,
 )
 from phdfuse.gaussian import GaussianMixture
-from phdfuse.metrics import ospa
+from phdfuse.metrics import OspaConfig, ospa
 from phdfuse.phd import PhdConfig
 from phdfuse.policies import (
     ALGORITHMS,
@@ -50,6 +51,26 @@ def tiny_config(algorithm="full", alpha=1, horizon=4, mc_runs=1, **kwargs):
         scenario=ScenarioConfig(horizon=horizon),
         **kwargs,
     )
+
+
+# A value of the wrong type for each scalar annotation.  A bool is never a
+# number, and a float never an int.
+WRONG_TYPE = {int: 2.5, float: True, bool: 1, str: 5, int | None: 2.5, str | None: 5}
+
+
+def scalar_settings():
+    """(JSON section, field, annotation) for each scalar setting a config file sets."""
+    sections = (
+        ("", ExperimentConfig),
+        ("scenario_overrides", ScenarioConfig),
+        ("phd", PhdConfig),
+        ("ospa", OspaConfig),
+    )
+    for section, cls in sections:
+        hints = get_type_hints(cls)
+        for f in fields(cls):
+            if hints[f.name] in WRONG_TYPE:
+                yield pytest.param(section, f.name, hints[f.name], id=f"{section}.{f.name}".lstrip("."))
 
 
 def synthetic_result(algorithm, alpha, values, master_seed=0):
@@ -671,6 +692,17 @@ class TestLoadConfig:
             load_experiment_config({"algorithm": "bogus"})
         with pytest.raises(ValueError, match="invalid experiment config"):
             load_experiment_config({"phd": {"bogus_field": 1}})
+
+    @pytest.mark.parametrize("section, name, kind", list(scalar_settings()))
+    def test_wrong_typed_setting_is_a_value_error(self, section, name, kind):
+        # A float count used to crash a run, and a bool alpha to run as 1.
+        nest = (lambda value: {section: {name: value}}) if section else (lambda value: {name: value})
+        with pytest.raises(ValueError, match=f"TypeError: .*{name} must be"):
+            load_experiment_config(nest(WRONG_TYPE[kind]))
+        # A numpy integer is an int, and an int is a float.
+        good = {int: np.int64(3), int | None: np.int64(3), float: 1}.get(kind)
+        if good is not None:
+            load_experiment_config(nest(good))
 
     @pytest.mark.parametrize(
         "payload",

@@ -7,6 +7,7 @@ from scipy.stats import norm
 from phdfuse.gaussian import (
     GaussianMixture,
     _pairwise_mahalanobis2,
+    _whitening,
     cap,
     coalesce_duplicates,
     cs_divergence,
@@ -115,15 +116,38 @@ class TestConstructionAliasing:
         before = [array.tobytes() for array in (gm.weights, gm.means, gm.covariances)]
         out = self.OPERATIONS[name](gm)
         assert out is not gm
-        for array in (out.weights, out.means, out.covariances):
+        for array in (out.weights, out.means, out.covariances, out.whiten):
             assert not array.flags.writeable
+        assert_whiten_is_factor(out)
         assert [array.tobytes() for array in (gm.weights, gm.means, gm.covariances)] == before
+
+    def test_public_constructor_factors_its_covariances(self, rng):
+        gm = clustered_mixture(rng, 6, 2)
+        assert not gm.whiten.flags.writeable
+        assert_whiten_is_factor(gm)
+        assert GaussianMixture.empty(3).whiten.shape == (0, 3, 3)
+
+    def test_merge_factorises_once(self, monkeypatch):
+        gm = clustered_mixture(np.random.default_rng(5), 12, 2)
+        cholesky, calls = np.linalg.cholesky, []
+
+        def counting(covariances):
+            calls.append(covariances.shape)
+            return cholesky(covariances)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        out = merge(gm, 4.0)
+        assert out.size < gm.size
+        assert calls == [out.covariances.shape]
 
     def test_internal_constructor_adopts_its_arrays(self):
         weights, means, covariances = np.array([0.5, 1.0]), np.zeros((2, 2)), np.stack([np.eye(2)] * 2)
-        gm = GaussianMixture._with_checked_covariances(weights, means, covariances, 2)
+        whiten = _whitening(covariances)
+        gm = GaussianMixture._factored(weights, means, covariances, whiten)
         assert gm.weights is weights and gm.means is means and gm.covariances is covariances
+        assert gm.whiten is whiten
         assert not (weights.flags.writeable or means.flags.writeable or covariances.flags.writeable)
+        assert not whiten.flags.writeable
         assert gm.dimension == 2 and gm.size == 2
 
     @pytest.mark.parametrize(
@@ -143,7 +167,7 @@ class TestConstructionAliasing:
         weights, means = np.asarray(weights, dtype=float), np.asarray(means, dtype=float)
         covariances = np.stack([np.asarray(covariances, dtype=float)] * 2)
         with pytest.raises(ValueError, match=match):
-            GaussianMixture._with_checked_covariances(weights, means, covariances, 2)
+            GaussianMixture._factored(weights, means, covariances, np.stack([np.eye(2)] * 2))
 
 
 class TestEvaluate:
@@ -432,6 +456,12 @@ def assert_bitwise_equal(actual: GaussianMixture, expected: GaussianMixture) -> 
         np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64), err_msg=name)
 
 
+def assert_whiten_is_factor(gm: GaussianMixture) -> None:
+    """``gm.whiten`` is, bitwise, the factor of ``gm.covariances``."""
+    expected = np.linalg.inv(np.linalg.cholesky(gm.covariances))
+    np.testing.assert_array_equal(gm.whiten.view(np.uint64), expected.view(np.uint64))
+
+
 def clustered_mixture(rng: np.random.Generator, size: int, dim: int) -> GaussianMixture:
     """Components scattered around a few centres, so that merge forms
     multi-member groups and singletons.  Weights come from a small set, so
@@ -531,7 +561,7 @@ class TestBitExactReduction:
         rng = np.random.default_rng(size + 7 * dim)
         centres = clustered_mixture(rng, size, dim)
         points = rng.uniform(-40.0, 40.0, size=(size + 3, dim))
-        dist2 = _pairwise_mahalanobis2(centres.means, centres.covariances, points)
+        dist2 = _pairwise_mahalanobis2(centres.means, centres.whiten, points)
         diff = points[np.newaxis, :, :] - centres.means[:, np.newaxis, :]
         solved = np.linalg.solve(centres.covariances, np.swapaxes(diff, 1, 2))
         expected = np.einsum("jid,jdi->ji", diff, solved)
@@ -557,7 +587,7 @@ class TestBitExactReduction:
                 centres[:10] + 1e-2 * rng.standard_normal((10, dim)),
             ]
         )
-        dist2 = _pairwise_mahalanobis2(centres, covariances, points)
+        dist2 = _pairwise_mahalanobis2(centres, _whitening(covariances), points)
         diff = points[np.newaxis, :, :] - centres[:, np.newaxis, :]
         solved = np.linalg.solve(covariances, np.swapaxes(diff, 1, 2))
         expected = np.einsum("jid,jdi->ji", diff, solved)
@@ -574,7 +604,7 @@ class TestBitExactReduction:
             covariances=np.stack([covariance, covariance]),
             dimension=4,
         )
-        dist2 = _pairwise_mahalanobis2(gm.means, gm.covariances, gm.means)
+        dist2 = _pairwise_mahalanobis2(gm.means, gm.whiten, gm.means)
         np.testing.assert_array_equal(dist2, [[0.0, 7.0], [7.0, 0.0]])
         assert merge(gm, 7.0).size == 1
         assert merge(gm, np.nextafter(7.0, 0.0)).size == 2

@@ -1,11 +1,13 @@
 """Set-distance metric tests against brute-force and hand oracles."""
 
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
+from phdfuse.experiment import load_experiment_config
 from phdfuse.metrics import (
     OspaConfig,
     ospa,
@@ -56,6 +58,22 @@ class TestConfig:
     def test_nan_cutoff_rejected(self):
         with pytest.raises(ValueError, match="cutoff"):
             OspaConfig(cutoff=float("nan"))
+
+    def test_infinite_order_rejected(self):
+        # With p = inf every distance between non-empty sets read 1.0 m.
+        with pytest.raises(ValueError, match="order must be finite"):
+            OspaConfig(order=float("inf"))
+
+    def test_infinite_cutoff_rejected(self):
+        # With c = inf every cardinality mismatch cost infinitely much.
+        with pytest.raises(ValueError, match="cutoff must be finite"):
+            OspaConfig(cutoff=float("inf"))
+
+    def test_infinite_settings_in_a_config_file_rejected(self):
+        # JSON reads 1e999 as inf.
+        for key in ("order", "cutoff"):
+            with pytest.raises(ValueError, match=f"{key} must be finite"):
+                load_experiment_config(json.loads(f'{{"ospa": {{"{key}": 1e999}}}}'))
 
 
 class TestOspaConventions:

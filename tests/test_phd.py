@@ -332,8 +332,10 @@ def test_predict_and_update_return_read_only_arrays(rng):
         update(predicted, make_sensor(), np.empty((0, 1))),
     ]
     for out in outputs:
-        for array in (out.weights, out.means, out.covariances):
+        for array in (out.weights, out.means, out.covariances, out.whiten):
             assert not array.flags.writeable
+        expected = np.linalg.inv(np.linalg.cholesky(out.covariances))
+        np.testing.assert_array_equal(out.whiten.view(np.uint64), expected.view(np.uint64))
     assert [snapshot(gm) for gm in inputs] == before
     assert snapshot(predicted) == predicted_bytes
 
