@@ -21,7 +21,10 @@ import numpy as np
 
 from .gaussian import (
     GaussianMixture,
+    _moment_match,
     _pairwise_mahalanobis2,
+    _subset,
+    _whitening,
     coalesce_duplicates,
     mixture_sum,
     scale,
@@ -255,32 +258,26 @@ def partial_fusion(
     its reconstructed mixture; ``self_weight`` is the listener's own
     coefficient.
 
-    Everything heard is stacked once, in (sender, component) order, and
-    matched with a single distance-kernel call on the heard mixtures' own
-    whitening factors, so nothing heard is factorised again.  Matched shares
-    and each reporting sender's coefficient are accumulated in that same
-    order, so the result is the one a loop over senders and their components
-    gives.  The output's covariances are new, so its constructor factorises
-    them.
+    Everything heard is scaled by its sender's coefficient and stacked once,
+    in (sender, component) order, and matched with a single distance-kernel
+    call on the heard mixtures' own whitening factors.  Each reporting
+    sender's coefficient is accumulated in that same order.  Own component c
+    and the heard components matched to it, in heard order, form group c of
+    one ``_moment_match`` call, the routine ``merge`` uses.  Only the fused
+    covariances are factorised; every other component keeps its factor.
     """
     if not match_threshold >= 0.0:
         raise ValueError(f"match_threshold must be non-negative, got {match_threshold}")
-    dim = own.dimension
     count = own.size
     mass = self_weight * own.weights
     coeff = np.full(count, self_weight)
-    means = own.means.copy()
-    covs = own.covariances.copy()
     heard = [(link, mixture) for link, mixture in received if mixture.size]
-    if not heard:
-        weights = np.divide(mass, coeff, out=np.zeros_like(mass), where=coeff > 0.0)
-        return coalesce_duplicates(GaussianMixture(weights, means, covs, dimension=dim))
     links = np.array([link for link, _ in heard], dtype=float)
     sender = np.repeat(np.arange(len(heard)), [mixture.size for _, mixture in heard])
-    shares = np.concatenate([link * mixture.weights for link, mixture in heard])
-    pooled = mixture_sum([mixture for _, mixture in heard])
-    if count == 0:
-        assign = np.full(shares.size, -1)
+    pooled = mixture_sum([scale(m, link) for link, m in heard] or [GaussianMixture.empty(own.dimension)])
+    shares = pooled.weights
+    if count == 0 or pooled.size == 0:
+        assign = np.full(pooled.size, -1)
     else:
         dist2 = _pairwise_mahalanobis2(pooled.means, pooled.whiten, own.means)
         assign = np.argmin(dist2, axis=1)
@@ -291,26 +288,14 @@ def partial_fusion(
     pairs = np.unique(sender[hit] * count + assign[hit])
     np.add.at(coeff, pairs % count, links[pairs // count])
     weights = np.divide(mass, coeff, out=np.zeros_like(mass), where=coeff > 0.0)
-    for c in np.unique(assign[hit]).tolist():
-        rows = np.flatnonzero(assign == c)
-        lams = np.concatenate(([self_weight * float(own.weights[c])], shares[rows]))
-        total = float(lams.sum())
-        if total <= 0.0:
-            continue
-        lams /= total
-        points = np.concatenate([own.means[c : c + 1], pooled.means[rows]])
-        spreads = np.concatenate([own.covariances[c : c + 1], pooled.covariances[rows]])
-        centre = lams @ points
-        delta = points - centre
-        covs[c] = np.einsum("p,pij->ij", lams, spreads) + np.einsum(
-            "p,pi,pj->ij", lams, delta, delta
-        )
-        means[c] = centre
-    extra = ~hit
-    weights = np.concatenate([weights, shares[extra]])
-    means = np.concatenate([means, pooled.means[extra]])
-    covs = np.concatenate([covs, pooled.covariances[extra]])
-    return coalesce_duplicates(GaussianMixture(weights, means, covs, dimension=dim))
+    fused = np.unique(assign[hit])
+    label = np.concatenate([np.full(count, -1), assign])
+    label[fused] = fused
+    _, fused_means, fused_covs = _moment_match(mixture_sum([scale(own, self_weight), pooled]), label)
+    means, covs, whiten = own.means.copy(), own.covariances.copy(), own.whiten.copy()
+    means[fused], covs[fused], whiten[fused] = fused_means, fused_covs, _whitening(fused_covs)
+    kept = GaussianMixture._factored(weights, means, covs, whiten)
+    return coalesce_duplicates(mixture_sum([kept, _subset(pooled, ~hit)]))
 
 
 def consensus_round(

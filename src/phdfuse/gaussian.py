@@ -135,6 +135,10 @@ class GaussianMixture:
         gm._adopt(weights, means, covariances, whiten)
         return gm
 
+    def __reduce__(self):
+        # Unpickling re-adopts the arrays read-only, with their factor.
+        return type(self)._factored, tuple(getattr(self, name) for name in _ARRAYS)
+
     @classmethod
     def empty(cls, dimension: int) -> "GaussianMixture":
         return cls(np.empty(0), np.empty((0, dimension)), np.empty((0, dimension, dimension)), dimension)
@@ -267,63 +271,29 @@ def prune(gm: GaussianMixture, threshold: float) -> GaussianMixture:
     return _subset(gm, keep)
 
 
-def merge(gm: GaussianMixture, merge_threshold: float) -> GaussianMixture:
-    """Greedily fuse components closer than ``merge_threshold``.
+def _moment_match(gm: GaussianMixture, label: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The moment-matched Gaussian of each group of components of ``gm``:
+    its total weight, mean and (exactly symmetric) covariance.
 
-    Repeatedly takes the highest-weight unmerged component (the earliest one
-    among equal weights), gathers every unmerged component whose squared
-    Mahalanobis distance to it — measured in the metric of that component's
-    *own* covariance — is at most ``merge_threshold``, and replaces the group
-    by its moment-matched single Gaussian.  Measuring each candidate in its
-    own metric means a diffuse low-weight component near a sharp dominant one
-    is absorbed (instead of lingering and compounding), while a sharp
-    neighbour a few of its own standard deviations away survives.  Total
-    weight is preserved exactly up to floating-point summation.
-
-    The distances come from ``_pairwise_mahalanobis2``: each candidate's
-    whitening factor ``gm.whiten``, applied in one GEMM to the means shifted
-    by their mean.  Near thresholds like the default 15 they agree with a
-    direct ``solve`` to about ``1e-13`` relative, so only a distance that
-    close to the threshold could land on the other side of it.  The input is
-    not factorised again; only the merged outputs are, for their ``whiten``.
+    ``label[l]`` is component l's group, or -1 for none.  Groups come out in
+    ascending label order.  A group whose total weight is zero takes its
+    first member's mean and covariance.
 
     Groups of equal size are moment-matched together, one batch per size.
     Each group's members are summed in index order with the same numpy and
     BLAS calls as one group on its own, so the result does not depend on
     which groups share a batch.
     """
-    if not merge_threshold >= 0.0:
-        raise ValueError(f"merge_threshold must be non-negative, got {merge_threshold}")
-    if gm.size <= 1:
-        return gm
     weights, means, covs = gm.weights, gm.means, gm.covariances
-    count = gm.size
-    # close[lead, j]: component j lies within the threshold of lead, in j's metric.
-    close = _pairwise_mahalanobis2(means, gm.whiten, means).T <= merge_threshold
-    # A lead always joins its own group, even if its whitening overflowed and
-    # made its own distance NaN.
-    np.fill_diagonal(close, True)
-    # Bit j of a row's integer is close[lead, j]; ``alive`` holds the unmerged set.
-    row_bytes = (count + 7) // 8
-    packed = np.packbits(close, axis=1, bitorder="little").tobytes()
-    alive = (1 << count) - 1
-    leads: list[int] = []
-    groups: list[bytes] = []
-    for lead in np.argsort(-weights, kind="stable").tolist():
-        if alive >> lead & 1:
-            row = packed[lead * row_bytes : (lead + 1) * row_bytes]
-            group = int.from_bytes(row, "little") & alive
-            alive ^= group
-            leads.append(lead)
-            groups.append(group.to_bytes(row_bytes, "little"))
-    bits = np.frombuffer(b"".join(groups), dtype=np.uint8).reshape(len(groups), row_bytes)
-    slot_of, member = np.nonzero(np.unpackbits(bits, axis=1, count=count, bitorder="little"))
-    sizes = np.bincount(slot_of, minlength=len(groups))
+    grouped = np.flatnonzero(label >= 0)
+    # member: every grouped component, by group and then by index.
+    member = grouped[np.argsort(label[grouped], kind="stable")]
+    sizes = np.bincount(label[grouped])
+    sizes = sizes[sizes > 0]
     starts = np.cumsum(sizes) - sizes
-    leads_of = np.array(leads)
-    out_w = np.empty(len(groups))
-    out_m = np.empty((len(groups), gm.dimension))
-    out_p = np.empty((len(groups), gm.dimension, gm.dimension))
+    out_w = np.empty(len(sizes))
+    out_m = np.empty((len(sizes), gm.dimension))
+    out_p = np.empty((len(sizes), gm.dimension, gm.dimension))
     for size in np.unique(sizes).tolist():
         slots = np.flatnonzero(sizes == size)
         # idx[g]: the members of group slots[g], ascending.
@@ -344,11 +314,59 @@ def merge(gm: GaussianMixture, merge_threshold: float) -> GaussianMixture:
             )
             / divisor[:, np.newaxis, np.newaxis]
         )
-    # A group of zero-weight components collapses onto its lead.
+    # A group of zero-weight components collapses onto its first member.
     empty = np.flatnonzero(out_w == 0.0)
-    out_m[empty] = means[leads_of[empty]]
-    out_p[empty] = covs[leads_of[empty]]
-    out_p = symmetrize(out_p)  # exactly symmetric, so only the factor is left to check
+    out_m[empty] = means[member[starts[empty]]]
+    out_p[empty] = covs[member[starts[empty]]]
+    return out_w, out_m, symmetrize(out_p)
+
+
+def merge(gm: GaussianMixture, merge_threshold: float) -> GaussianMixture:
+    """Greedily fuse components closer than ``merge_threshold``.
+
+    Repeatedly takes the highest-weight unmerged component (the earliest one
+    among equal weights), gathers every unmerged component whose squared
+    Mahalanobis distance to it — measured in the metric of that component's
+    *own* covariance — is at most ``merge_threshold``, and replaces the group
+    by its moment-matched single Gaussian.  Measuring each candidate in its
+    own metric means a diffuse low-weight component near a sharp dominant one
+    is absorbed (instead of lingering and compounding), while a sharp
+    neighbour a few of its own standard deviations away survives.  Total
+    weight is preserved exactly up to floating-point summation.
+
+    The distances come from ``_pairwise_mahalanobis2``: each candidate's
+    whitening factor ``gm.whiten``, applied in one GEMM to the means shifted
+    by their mean.  Near thresholds like the default 15 they agree with a
+    direct ``solve`` to about ``1e-13`` relative, so only a distance that
+    close to the threshold could land on the other side of it.  The input is
+    not factorised again; only the merged outputs are, for their ``whiten``.
+    """
+    if not merge_threshold >= 0.0:
+        raise ValueError(f"merge_threshold must be non-negative, got {merge_threshold}")
+    if gm.size <= 1:
+        return gm
+    count = gm.size
+    # close[lead, j]: component j lies within the threshold of lead, in j's metric.
+    close = _pairwise_mahalanobis2(gm.means, gm.whiten, gm.means).T <= merge_threshold
+    # A lead always joins its own group, even if its whitening overflowed and
+    # made its own distance NaN.
+    np.fill_diagonal(close, True)
+    # Bit j of a row's integer is close[lead, j]; ``alive`` holds the unmerged set.
+    row_bytes = (count + 7) // 8
+    packed = np.packbits(close, axis=1, bitorder="little").tobytes()
+    alive = (1 << count) - 1
+    groups: list[bytes] = []
+    for lead in np.argsort(-gm.weights, kind="stable").tolist():
+        if alive >> lead & 1:
+            row = packed[lead * row_bytes : (lead + 1) * row_bytes]
+            group = int.from_bytes(row, "little") & alive
+            alive ^= group
+            groups.append(group.to_bytes(row_bytes, "little"))
+    bits = np.frombuffer(b"".join(groups), dtype=np.uint8).reshape(len(groups), row_bytes)
+    label = np.unpackbits(bits, axis=1, count=count, bitorder="little").argmax(axis=0)
+    # A zero-weight group's first member is its lead: a zero-weight component
+    # still alive at a lower index would have led first.
+    out_w, out_m, out_p = _moment_match(gm, label)
     return GaussianMixture._factored(out_w, out_m, out_p, _whitening(out_p))
 
 

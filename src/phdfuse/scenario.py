@@ -31,13 +31,11 @@ __all__ = [
     "GroundTruth",
     "MeasurementFrame",
     "UniformInRegion",
-    "UniformClutterIntensity",
     "Scenario",
     "step_ground_truth",
     "simulate_truth",
     "generate_measurements",
     "default_targets",
-    "default_scenario_config",
     "default_network",
     "default_consensus_weights",
     "build_scenario",
@@ -82,25 +80,14 @@ class Region:
 
 @dataclass(frozen=True)
 class UniformInRegion:
-    """State-dependent probability: ``inside_value`` inside the region, 0 outside."""
+    """``inside_value`` inside the region, 0 outside: a state-dependent
+    probability, or a clutter intensity per square metre."""
 
     region: Region
     inside_value: float
 
     def __call__(self, states: np.ndarray) -> np.ndarray:
         return np.where(self.region.contains(states), self.inside_value, 0.0)
-
-
-@dataclass(frozen=True)
-class UniformClutterIntensity:
-    """Clutter intensity kappa(z): ``density`` per square metre inside the
-    region, 0 outside."""
-
-    region: Region
-    density: float
-
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        return np.where(self.region.contains(points), self.density, 0.0)
 
 
 @dataclass(frozen=True)
@@ -376,10 +363,6 @@ class Scenario:
     phd: PhdConfig
 
 
-def default_scenario_config() -> ScenarioConfig:
-    return ScenarioConfig()
-
-
 def build_scenario(
     config: ScenarioConfig | None = None, phd: PhdConfig | None = None
 ) -> Scenario:
@@ -391,7 +374,7 @@ def build_scenario(
     (weight ``spawn_weight``, identity transition, covariance
     diag(100, 100, 400, 400)) covers targets appearing near existing ones.
     """
-    config = config or default_scenario_config()
+    config = config or ScenarioConfig()
     phd = phd or PhdConfig()
     motion = MotionModel(
         F=transition_matrix(config.step_time),
@@ -424,7 +407,7 @@ def build_scenario(
         H=np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]),
         R=config.measurement_noise_variance * np.eye(2),
         detection_probability=UniformInRegion(config.region, config.detection_probability),
-        clutter_intensity=UniformClutterIntensity(config.region, config.clutter_density),
+        clutter_intensity=UniformInRegion(config.region, config.clutter_density),
     )
     sensors = tuple(sensor for _ in range(config.sensor_count))
     if config.sensor_count == 6:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from phdfuse.gaussian import GaussianMixture
+from phdfuse.gaussian import GaussianMixture, symmetrize
 
 
 def random_mixture(
@@ -32,6 +32,27 @@ def single_gaussian(weight: float, mean, covariance) -> GaussianMixture:
         covariances=covariance.reshape(1, mean.size, mean.size),
         dimension=mean.size,
     )
+
+
+def moment_match_group(weights, means, covariances):
+    """One group's moment-matched Gaussian as ``(total, mean, covariance)``,
+    summed in member order and divided after, with the covariance
+    symmetrised.  A zero-weight group takes its first member's moments."""
+    total = float(np.sum(weights))
+    if total > 0.0:
+        mean = (weights @ means) / total
+        spread = means - mean
+        cov = (
+            np.sum(
+                weights[:, np.newaxis, np.newaxis]
+                * (covariances + spread[:, :, np.newaxis] * spread[:, np.newaxis, :]),
+                axis=0,
+            )
+            / total
+        )
+    else:
+        mean, cov = means[0].copy(), covariances[0].copy()
+    return total, mean, symmetrize(cov)
 
 
 def pytest_configure(config):

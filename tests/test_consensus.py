@@ -21,7 +21,7 @@ from phdfuse.gaussian import (
 )
 from phdfuse.phd import PhdConfig
 from phdfuse.policies import FullPolicy, RankPolicy, SampleWithReplacementPolicy, SamplingConfig
-from conftest import random_mixture, single_gaussian
+from conftest import moment_match_group, random_mixture, single_gaussian
 
 PAIR = ConsensusWeights(
     omega=np.array([[0.5, 0.5], [0.5, 0.5]]), fusion_weights=np.array([0.5, 0.5])
@@ -273,7 +273,8 @@ class TestPartialFusion:
 
 def reference_partial_fusion(own, received, self_weight, match_threshold):
     """partial_fusion as first written: one batched ``solve`` per received
-    mixture for the matching distances, then the same fusion arithmetic."""
+    mixture for the matching distances and a loop over matched components,
+    each moment-matched by the one-group formula ``reference_merge`` uses."""
     dim = own.dimension
     count = own.size
     mass = self_weight * own.weights
@@ -313,18 +314,9 @@ def reference_partial_fusion(own, received, self_weight, match_threshold):
         if not matched[c]:
             continue
         lams = np.array([self_weight * float(own.weights[c])] + [m[0] for m in matched[c]])
-        total = float(lams.sum())
-        if total <= 0.0:
-            continue
-        lams /= total
         points = np.vstack([own.means[c : c + 1]] + [m[1].reshape(1, dim) for m in matched[c]])
         spreads = np.stack([own.covariances[c]] + [m[2] for m in matched[c]])
-        centre = lams @ points
-        delta = points - centre
-        covs[c] = np.einsum("p,pij->ij", lams, spreads) + np.einsum(
-            "p,pi,pj->ij", lams, delta, delta
-        )
-        means[c] = centre
+        _, means[c], covs[c] = moment_match_group(lams, points, spreads)
     if extra_weights:
         weights = np.concatenate([weights, np.asarray(extra_weights)])
         means = np.vstack([means, np.vstack(extra_means)])
@@ -400,6 +392,35 @@ class TestPartialFusionBitExact:
         monkeypatch.setattr(consensus, "_pairwise_mahalanobis2", counting)
         partial_fusion(own, received, 0.25, 15.0)
         assert calls == [15]
+
+    def test_output_carries_the_factor_of_its_covariances(self):
+        rng = np.random.default_rng(5)
+        own = random_mixture(rng, dim=4, min_components=20, max_components=20)
+        received = [(0.25, nearby_mixture(rng, own, 12)), (0.25, nearby_mixture(rng, own, 3))]
+        fused = partial_fusion(own, received, 0.5, 15.0)
+        assert fused.size > own.size  # some heard components matched nothing
+        assert not fused.whiten.flags.writeable
+        expected = np.linalg.inv(np.linalg.cholesky(fused.covariances))
+        np.testing.assert_array_equal(fused.whiten.view(np.uint64), expected.view(np.uint64))
+
+    def test_factorises_only_the_fused_components(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        own = random_mixture(rng, dim=2, min_components=12, max_components=12)
+        received = [(0.25, nearby_mixture(rng, own, 4)), (0.125, nearby_mixture(rng, own, 2))]
+        whitening, calls = consensus._whitening, []
+
+        def counting(covariances):
+            calls.append(covariances.copy())
+            return whitening(covariances)
+
+        monkeypatch.setattr(consensus, "_whitening", counting)
+        fused = partial_fusion(own, received, 0.5, 15.0)
+        # Every weight is positive, so an own component moves exactly when
+        # something heard was fused into it.
+        moved = np.flatnonzero(np.any(fused.means[: own.size] != own.means, axis=1))
+        assert 0 < moved.size < own.size
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], fused.covariances[moved])
 
 
 def assert_bit_identical(actual_gm, expected_gm):

@@ -392,8 +392,8 @@ class TestRunExperiment:
     GOLDEN = {
         "no_consensus": "516c036c7fca364830b636045cff9c77d8b2705d062d9ced6c6cee96a83f7f7d",
         "full": "5cc5a100bb62dec266bf3bb13b7b1d35695130df5f30f234d13f1743273a5d44",
-        "partial_rank": "5b02327ffb0237443a1109c84283dbb487d50fc67bfbad97847266dbf9a06282",
-        "partial_threshold": "431643ee46533d24523bb38656778d2d37b07bd3af94772f93e2922275822e9d",
+        "partial_rank": "e6f592dbd77c6aa9cf9653f3060422743eb651ecb9dc0b214de9696065d460a6",
+        "partial_threshold": "cb748430f5f7dc0c5402aedeb2c362b88345a53198c31f3ea03bc34d618b1665",
         "sample_replacement": "78c6213417f58d6a03c5939b0d57aedc1f1e33d255f2a7854d98556ebbce0c1a",
         "sample_no_replacement": "12255473386c830b9da7ebc2237a5359905aec92ab64da77b98b1e95f34c398d",
     }

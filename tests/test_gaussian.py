@@ -1,5 +1,7 @@
 """Mixture algebra tests against quadrature and hand-derived oracles."""
 
+import pickle
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -20,7 +22,8 @@ from phdfuse.gaussian import (
     scale,
     symmetrize,
 )
-from conftest import random_mixture, single_gaussian
+from phdfuse.scenario import build_scenario
+from conftest import moment_match_group, random_mixture, single_gaussian
 
 # Frozen closed-form values, derived by hand before the implementation ran:
 # the 1-d standard normal density at the origin is 1/sqrt(2*pi), and the
@@ -126,6 +129,17 @@ class TestConstructionAliasing:
         assert not gm.whiten.flags.writeable
         assert_whiten_is_factor(gm)
         assert GaussianMixture.empty(3).whiten.shape == (0, 3, 3)
+
+    def test_pickle_round_trip_stays_read_only(self):
+        # Worker processes receive the scenario's birth intensity by pickle.
+        for gm in (clustered_mixture(np.random.default_rng(9), 6, 2), build_scenario().birth.intensity):
+            copy = pickle.loads(pickle.dumps(gm))
+            assert copy.dimension == gm.dimension
+            for name in ("weights", "means", "covariances", "whiten"):
+                assert not getattr(copy, name).flags.writeable, name
+                np.testing.assert_array_equal(
+                    getattr(copy, name).view(np.uint64), getattr(gm, name).view(np.uint64)
+                )
 
     def test_merge_factorises_once(self, monkeypatch):
         gm = clustered_mixture(np.random.default_rng(5), 12, 2)
@@ -400,25 +414,11 @@ def reference_merge(gm: GaussianMixture, merge_threshold: float) -> GaussianMixt
         solved = np.linalg.solve(covs[candidates], diff[:, :, np.newaxis])
         dist2 = np.einsum("nd,nd->n", diff, solved[:, :, 0])
         group = candidates[dist2 <= merge_threshold]
-        group_w = weights[group]
-        total = float(np.sum(group_w))
-        if total > 0.0:
-            mean = (group_w @ means[group]) / total
-            spread = means[group] - mean
-            cov = (
-                np.sum(
-                    group_w[:, np.newaxis, np.newaxis]
-                    * (covs[group] + spread[:, :, np.newaxis] * spread[:, np.newaxis, :]),
-                    axis=0,
-                )
-                / total
-            )
-        else:
-            mean = means[lead].copy()
-            cov = covs[lead].copy()
+        # A zero-weight group's first member is its lead (see ``merge``).
+        total, mean, cov = moment_match_group(weights[group], means[group], covs[group])
         out_w.append(total)
         out_m.append(mean)
-        out_p.append(symmetrize(cov))
+        out_p.append(cov)
         alive[group] = False
     return GaussianMixture(np.array(out_w), np.stack(out_m), np.stack(out_p), dimension=gm.dimension)
 

@@ -13,7 +13,6 @@ from phdfuse.scenario import (
     Region,
     ScenarioConfig,
     TargetSchedule,
-    UniformClutterIntensity,
     UniformInRegion,
     build_scenario,
     default_network,
@@ -76,7 +75,7 @@ class TestRegion:
         p_d = UniformInRegion(region, 0.98)
         states = np.array([[0.0, 0.0, 1.0, 1.0], [500.0, 0.0, 1.0, 1.0]])
         np.testing.assert_array_equal(p_d(states), [0.98, 0.0])
-        kappa = UniformClutterIntensity(region, 3.125e-5)
+        kappa = UniformInRegion(region, 3.125e-5)
         np.testing.assert_array_equal(
             kappa(np.array([[0.0, 0.0], [500.0, 0.0]])), [3.125e-5, 0.0]
         )
