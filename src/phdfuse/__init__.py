@@ -13,6 +13,7 @@ __version__ = "0.1.0"
 
 from .gaussian import (
     GaussianMixture,
+    NumericalFailure,
     cap,
     coalesce_duplicates,
     cs_divergence,
@@ -84,6 +85,7 @@ __all__ = [
     "__version__",
     # gaussian
     "GaussianMixture",
+    "NumericalFailure",
     "mixture_sum",
     "scale",
     "prune",

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__ as _package_version
 from .consensus import consensus_round
-from .gaussian import GaussianMixture
+from .gaussian import GaussianMixture, NumericalFailure
 from .metrics import OspaConfig, ospa, time_averaged_network_ospa
 from .phd import PhdConfig, extract_targets, predict, reduce_mixture, update
 from .policies import ALGORITHMS, SamplingConfig, lookup_algorithm, transmission_cost
@@ -225,8 +225,8 @@ class ExperimentResult:
 
 
 # What a run records as its own numerical failure instead of aborting the
-# campaign.
-_NUMERICAL_FAILURES = (np.linalg.LinAlgError, ValueError, ArithmeticError)
+# campaign.  A plain ``ValueError`` is a programming error and propagates.
+_NUMERICAL_FAILURES = (np.linalg.LinAlgError, NumericalFailure, ArithmeticError)
 
 
 class BudgetExceeded(Exception):

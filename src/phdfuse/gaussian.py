@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
+    "NumericalFailure",
     "GaussianMixture",
     "mixture_sum",
     "scale",
@@ -38,26 +39,37 @@ _SYMMETRY_TOL = 1e-12
 _ARRAYS = ("weights", "means", "covariances", "whiten")
 
 
+class NumericalFailure(ValueError):
+    """A value computed from a run's data is unusable: a covariance that is
+    not positive definite, a non-finite or negative weight, a non-finite
+    mean or covariance, or a mixture with nothing to sample from.
+
+    A Monte Carlo run records this as its own failure; any other
+    ``ValueError`` is a programming error and aborts the campaign.
+    """
+
+
 def _whitening(covariances: np.ndarray) -> np.ndarray:
     """The whitening factors ``inv(cholesky(C))`` of a stack of covariances;
-    ``ValueError`` if one is not positive definite.  The only place a mixture
-    covariance is factorised."""
+    ``NumericalFailure`` if one is not positive definite.  The only place a
+    mixture covariance is factorised."""
     try:
         return np.linalg.inv(np.linalg.cholesky(covariances))
     except np.linalg.LinAlgError as exc:
-        raise ValueError("every covariance must be positive definite") from exc
+        raise NumericalFailure("every covariance must be positive definite") from exc
 
 
 def _check_values(weights: np.ndarray, means: np.ndarray, covariances: np.ndarray) -> None:
-    """Reject non-finite or negative weights and non-finite means or covariances."""
+    """Reject non-finite or negative weights and non-finite means or
+    covariances with ``NumericalFailure``."""
     if not np.isfinite(weights).all():
-        raise ValueError("weights must be finite")
+        raise NumericalFailure("weights must be finite")
     if (weights < 0.0).any():
-        raise ValueError("weights must be non-negative")
+        raise NumericalFailure("weights must be non-negative")
     if not np.isfinite(means).all():
-        raise ValueError("means must be finite")
+        raise NumericalFailure("means must be finite")
     if not np.isfinite(covariances).all():
-        raise ValueError("covariances must be finite")
+        raise NumericalFailure("covariances must be finite")
 
 
 @dataclass(frozen=True)

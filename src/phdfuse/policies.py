@@ -27,7 +27,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .gaussian import GaussianMixture, cap
+from .gaussian import GaussianMixture, NumericalFailure, cap
 
 __all__ = [
     "PolicyTag",
@@ -215,10 +215,10 @@ def select_threshold(gm: GaussianMixture, tau: float) -> Transmission:
 
 def _sampling_probabilities(gm: GaussianMixture) -> np.ndarray:
     if gm.size == 0:
-        raise ValueError("cannot sample from an empty mixture")
+        raise NumericalFailure("cannot sample from an empty mixture")
     total = gm.total_weight()
     if total <= 0.0:
-        raise ValueError("cannot sample from a mixture with zero total weight")
+        raise NumericalFailure("cannot sample from a mixture with zero total weight")
     return gm.weights / total
 
 

@@ -27,7 +27,7 @@ from phdfuse.experiment import (
     write_runs_csv,
     write_summary_csv,
 )
-from phdfuse.gaussian import GaussianMixture
+from phdfuse.gaussian import GaussianMixture, NumericalFailure
 from phdfuse.metrics import OspaConfig, ospa
 from phdfuse.phd import PhdConfig
 from phdfuse.policies import (
@@ -301,14 +301,14 @@ class TestRunExperiment:
 
         def flaky(scenario, config, run_index):
             if run_index == 1:
-                raise ValueError("synthetic numerical failure")
+                raise NumericalFailure("synthetic numerical failure")
             return original(scenario, config, run_index)
 
         monkeypatch.setattr(experiment, "_single_run", flaky)
         config = tiny_config(algorithm="no_consensus", alpha=0, horizon=2, mc_runs=3)
         result = run_experiment(config)
         assert result.failed_runs == (1,)
-        assert result.records[1].error == "ValueError: synthetic numerical failure"
+        assert result.records[1].error == "NumericalFailure: synthetic numerical failure"
         assert len(result.successful) == 2
         assert np.isfinite(result.ospa_mean)
 
@@ -334,19 +334,54 @@ class TestRunExperiment:
         def failing_at_k2(*args, **kwargs):
             calls.append(None)
             if len(calls) == 6 + 1:  # the first sensor's update at k = 2
-                raise ValueError("synthetic failure")
+                raise NumericalFailure("synthetic failure")
             return original(*args, **kwargs)
 
         monkeypatch.setattr(experiment, "update", failing_at_k2)
         result = run_experiment(tiny_config(algorithm="full", alpha=2, horizon=3))
-        assert result.records[0].error == "ValueError: synthetic failure (k=2, round=0)"
+        assert result.records[0].error == "NumericalFailure: synthetic failure (k=2, round=0)"
+
+    def test_programming_error_propagates_out_of_the_campaign(self, monkeypatch):
+        # A plain ValueError is a bug, not a numerical failure of the run.
+        original = experiment.update
+        calls = []
+
+        def buggy_at_k2(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 6 + 1:
+                raise ValueError("shape bug")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "update", buggy_at_k2)
+        with pytest.raises(ValueError, match="shape bug") as caught:
+            run_experiment(tiny_config(algorithm="full", alpha=2, horizon=3))
+        assert type(caught.value) is ValueError
+
+    def test_non_positive_definite_covariance_is_a_failed_run(self, monkeypatch):
+        original = experiment.update
+        calls = []
+
+        def indefinite_at_k2(predicted, *args, **kwargs):
+            calls.append(None)
+            if len(calls) == 6 + 1:
+                dim = predicted.dimension
+                return GaussianMixture([1.0], np.zeros((1, dim)), -np.eye(dim)[np.newaxis])
+            return original(predicted, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "update", indefinite_at_k2)
+        result = run_experiment(tiny_config(algorithm="full", alpha=2, horizon=3, mc_runs=2))
+        assert result.failed_runs == (0,)
+        assert result.records[0].error == (
+            "NumericalFailure: every covariance must be positive definite (k=2, round=0)"
+        )
+        assert result.records[1].ok
 
     def test_measurement_draw_failure_names_its_own_timestep(self, monkeypatch):
         original = experiment.generate_measurements
 
         def failing_at_k2(frame, *args, **kwargs):
             if frame.timestep == 2:
-                raise ValueError("synthetic failure")
+                raise NumericalFailure("synthetic failure")
             return original(frame, *args, **kwargs)
 
         monkeypatch.setattr(experiment, "generate_measurements", failing_at_k2)

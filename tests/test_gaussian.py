@@ -8,6 +8,7 @@ from scipy.stats import norm
 
 from phdfuse.gaussian import (
     GaussianMixture,
+    NumericalFailure,
     _pairwise_mahalanobis2,
     _whitening,
     cap,
@@ -56,13 +57,13 @@ def quadrature_inner_product(f: GaussianMixture, g: GaussianMixture) -> float:
 
 class TestValidation:
     def test_mixture_rejects_negative_weight(self):
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(NumericalFailure, match="non-negative"):
             single_gaussian(-0.5, [0.0], [[1.0]])
 
     def test_mixture_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(NumericalFailure, match="finite"):
             single_gaussian(np.inf, [0.0], [[1.0]])
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(NumericalFailure, match="finite"):
             single_gaussian(1.0, [np.nan], [[1.0]])
 
     def test_mixture_rejects_asymmetric_covariance(self):
@@ -71,7 +72,7 @@ class TestValidation:
             single_gaussian(1.0, [0.0, 0.0], cov)
 
     def test_mixture_rejects_non_positive_definite(self):
-        with pytest.raises(ValueError, match="positive definite"):
+        with pytest.raises(NumericalFailure, match="positive definite"):
             single_gaussian(1.0, [0.0, 0.0], np.diag([1.0, -1.0]))
 
     def test_empty_mixture_requires_dimension(self):

@@ -3,13 +3,20 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
+import phdfuse
 from phdfuse.experiment import load_experiment_config
 from phdfuse.metrics import (
     OspaConfig,
+    _assignment,
     ospa,
     time_averaged_network_ospa,
 )
@@ -96,6 +103,22 @@ class TestOspaConventions:
         points = np.array([[0.0, 0.0], [10.0, -5.0], [3.0, 4.0]])
         assert ospa(points, points).distance == 0.0
 
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            ([[np.inf, 0.0]], [[0.0, 0.0]]),
+            ([[np.nan, 0.0]], [[0.0, 0.0], [1.0, 1.0]]),
+            ([[np.inf, 0.0]], [[np.inf, 0.0]]),
+            ([[0.0, -np.inf]], np.empty((0, 2))),
+        ],
+        ids=["inf-vs-finite", "nan", "inf-vs-inf", "inf-vs-empty"],
+    )
+    def test_non_finite_points_rejected(self, x, y):
+        with pytest.raises(ValueError, match="points must be finite"):
+            ospa(x, y)
+        with pytest.raises(ValueError, match="points must be finite"):
+            ospa(y, x)
+
 
 class TestOspaHandValues:
     def test_single_pair_below_cutoff(self):
@@ -158,6 +181,17 @@ class TestOspaBruteForce:
             y = rng.uniform(-200, 200, size=(n, 2))
             assert ospa(x, y, config).distance == brute_force_ospa(x, y, config)
 
+    def test_matches_enumeration_with_ties_and_orders(self):
+        # Integer-grid points give many equal distances.  For p != 1 the
+        # assignment must minimise the sum of d**p, not of d.
+        rng = np.random.default_rng(29)
+        for order, cutoff in [(1.0, 100.0), (2.0, 3.0), (1.5, 2.0)]:
+            config = OspaConfig(order=order, cutoff=cutoff)
+            for _ in range(60):
+                x = rng.integers(-3, 4, size=(int(rng.integers(1, 6)), 2)).astype(float)
+                y = rng.integers(-3, 4, size=(int(rng.integers(1, 7)), 2)).astype(float)
+                assert ospa(x, y, config).distance == brute_force_ospa(x, y, config)
+
     def test_symmetry_exact(self):
         rng = np.random.default_rng(9)
         for _ in range(100):
@@ -175,6 +209,63 @@ class TestOspaBruteForce:
             d_yz = ospa(y, z).distance
             d_xz = ospa(x, z).distance
             assert d_xz <= d_xy + d_yz + 1e-9
+
+
+def assignment_cases():
+    """Seeded ``(m, n)`` cost matrices with ``m <= n``, one param each."""
+    rng = np.random.default_rng(19)
+    shapes = [(1, 1), (1, 4), (1, 10), (4, 4), (7, 7), (10, 10), (2, 5), (4, 6), (6, 9), (9, 10)]
+    for m, n in shapes:
+        yield pytest.param(rng.uniform(0.0, 100.0, size=(m, n)), id=f"uniform-{m}x{n}")
+        ties = rng.integers(0, 3, size=(m, n)).astype(float)
+        yield pytest.param(ties, id=f"integer-ties-{m}x{n}")
+        yield pytest.param(np.full((m, n), 100.0), id=f"all-cutoff-{m}x{n}")
+        clipped = np.minimum(rng.uniform(0.0, 300.0, size=(m, n)), 100.0)
+        yield pytest.param(clipped, id=f"partly-clipped-{m}x{n}")
+
+
+class TestAssignmentSolver:
+    @pytest.mark.parametrize("cost", assignment_cases())
+    def test_matches_scipy_column_for_column(self, cost):
+        rows, cols = linear_sum_assignment(cost)
+        assert rows.tolist() == list(range(len(cost)))
+        assert _assignment(cost.tolist()) == cols.tolist()
+
+    def test_matches_scipy_on_many_seeded_matrices(self):
+        rng = np.random.default_rng(23)
+        for trial in range(600):
+            m = int(rng.integers(1, 11))
+            n = int(rng.integers(m, 11))
+            if trial % 3 == 0:
+                cost = rng.uniform(0.0, 100.0, size=(m, n))
+            elif trial % 3 == 1:
+                cost = rng.integers(0, 4, size=(m, n)).astype(float)
+            else:
+                cost = np.minimum(rng.uniform(0.0, 200.0, size=(m, n)), 100.0)
+            assert _assignment(cost.tolist()) == linear_sum_assignment(cost)[1].tolist(), cost
+
+
+def test_a_campaign_loads_no_scipy():
+    """The package's runtime needs numpy only: a fresh interpreter that
+    imports phdfuse and runs a short campaign, OSPA included, has not
+    imported any SciPy module."""
+    script = (
+        "import sys\n"
+        "from phdfuse import ExperimentConfig, ScenarioConfig, run_experiment\n"
+        "config = ExperimentConfig(algorithm='full', alpha=1, mc_runs=1,"
+        " scenario=ScenarioConfig(horizon=3))\n"
+        "record = run_experiment(config).records[0]\n"
+        "assert record.ok and len(record.rows) == 3 * 6, record.error\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    source = str(Path(phdfuse.__file__).resolve().parents[1])
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [source, inherited])))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestAggregation:

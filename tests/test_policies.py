@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from phdfuse.gaussian import GaussianMixture
+from phdfuse.gaussian import GaussianMixture, NumericalFailure
 from phdfuse.policies import (
     CostRecord,
     FullPolicy,
@@ -200,11 +200,11 @@ class TestSampleWithReplacement:
         np.testing.assert_array_less(np.abs(frequencies - [0.5, 0.25, 0.25]), 4 * se)
 
     def test_config_and_input_validation(self):
-        with pytest.raises(ValueError, match="empty"):
+        with pytest.raises(NumericalFailure, match="empty"):
             sample_with_replacement(
                 GaussianMixture.empty(2), SamplingConfig(bandwidth=1), np.random.default_rng(0)
             )
-        with pytest.raises(ValueError, match="zero total weight"):
+        with pytest.raises(NumericalFailure, match="zero total weight"):
             sample_with_replacement(
                 weights_mixture([0.0, 0.0]), SamplingConfig(bandwidth=1), np.random.default_rng(0)
             )
