@@ -20,14 +20,13 @@ from typing import Sequence
 import numpy as np
 
 from .gaussian import (
+    _ARRAYS,
     GaussianMixture,
     _moment_match,
     _pairwise_mahalanobis2,
-    _subset,
+    _weighted_sum,
     _whitening,
     coalesce_duplicates,
-    mixture_sum,
-    scale,
 )
 from .phd import PhdConfig, reduce_mixture
 from .policies import Transmission, fuses_partially, reconstruct
@@ -225,14 +224,11 @@ def waa(intensities: Sequence[GaussianMixture], fusion_weights: np.ndarray) -> G
         raise ValueError("fusion weights must sum to 1")
     if not intensities:
         raise ValueError("waa needs at least one intensity")
-    parts = [
-        scale(gm, float(w)) for gm, w in zip(intensities, fusion) if w > 0.0
-    ]
+    parts = [(float(w), gm) for gm, w in zip(intensities, fusion) if w > 0.0]
     if not parts:
         raise ValueError("at least one fusion weight must be positive")
-    if len(parts) == 1:
-        return parts[0]
-    return coalesce_duplicates(mixture_sum(parts))
+    total = _weighted_sum(parts, parts[0][1].dimension)
+    return total if len(parts) == 1 else coalesce_duplicates(total)
 
 
 def partial_fusion(
@@ -264,7 +260,9 @@ def partial_fusion(
     sender's coefficient is accumulated in that same order.  Own component c
     and the heard components matched to it, in heard order, form group c of
     one ``_moment_match`` call, the routine ``merge`` uses.  Only the fused
-    covariances are factorised; every other component keeps its factor.
+    covariances are factorised; every other component keeps its factor.  The
+    pooled sum, the moment-match input and the output are each built as one
+    concatenation.
     """
     if not match_threshold >= 0.0:
         raise ValueError(f"match_threshold must be non-negative, got {match_threshold}")
@@ -274,7 +272,7 @@ def partial_fusion(
     heard = [(link, mixture) for link, mixture in received if mixture.size]
     links = np.array([link for link, _ in heard], dtype=float)
     sender = np.repeat(np.arange(len(heard)), [mixture.size for _, mixture in heard])
-    pooled = mixture_sum([scale(m, link) for link, m in heard] or [GaussianMixture.empty(own.dimension)])
+    pooled = _weighted_sum(heard, own.dimension)
     shares = pooled.weights
     if count == 0 or pooled.size == 0:
         assign = np.full(pooled.size, -1)
@@ -291,11 +289,17 @@ def partial_fusion(
     fused = np.unique(assign[hit])
     label = np.concatenate([np.full(count, -1), assign])
     label[fused] = fused
-    _, fused_means, fused_covs = _moment_match(mixture_sum([scale(own, self_weight), pooled]), label)
+    pool = _weighted_sum([(self_weight, own), *heard], own.dimension)
+    _, fused_means, fused_covs = _moment_match(pool, label)
     means, covs, whiten = own.means.copy(), own.covariances.copy(), own.whiten.copy()
     means[fused], covs[fused], whiten[fused] = fused_means, fused_covs, _whitening(fused_covs)
-    kept = GaussianMixture._factored(weights, means, covs, whiten)
-    return coalesce_duplicates(mixture_sum([kept, _subset(pooled, ~hit)]))
+    # Own components first, then the heard components that matched nothing.
+    kept = (weights, means, covs, whiten)
+    return coalesce_duplicates(
+        GaussianMixture._factored(
+            *(np.concatenate([mine, getattr(pooled, name)[~hit]]) for mine, name in zip(kept, _ARRAYS))
+        )
+    )
 
 
 def consensus_round(
@@ -346,11 +350,12 @@ def consensus_round(
                 intensities[i], heard, float(omega[i, i]), match_threshold
             )
         else:
-            parts = [scale(intensities[i], float(omega[i, i]))]
-            for j in range(n):
-                if j != i and omega[i, j] != 0.0:
-                    parts.append(scale(received[j], float(omega[i, j])))
-            mixture = coalesce_duplicates(mixture_sum(parts))
+            parts = [(float(omega[i, i]), intensities[i])] + [
+                (float(omega[i, j]), received[j])
+                for j in range(n)
+                if j != i and omega[i, j] != 0.0
+            ]
+            mixture = coalesce_duplicates(_weighted_sum(parts, intensities[i].dimension))
         if reduction is not None:
             mixture = reduce_mixture(mixture, reduction)
         fused.append(mixture)

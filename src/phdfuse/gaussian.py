@@ -242,28 +242,36 @@ def mixture_sum(mixtures: Sequence[GaussianMixture]) -> GaussianMixture:
     """Concatenate mixtures: the intensity of the sum is the sum of intensities."""
     if not mixtures:
         raise ValueError("mixture_sum needs at least one mixture")
-    dim = mixtures[0].dimension
-    for gm in mixtures:
-        if gm.dimension != dim:
-            raise ValueError("all mixtures must share one state dimension")
-    parts = [gm for gm in mixtures if gm.size]
+    return _weighted_sum([(1.0, gm) for gm in mixtures], mixtures[0].dimension)
+
+
+def _weighted_sum(parts: Sequence[tuple[float, GaussianMixture]], dimension: int) -> GaussianMixture:
+    """The intensity ``sum_k c_k * gm_k`` of ``parts`` ``(c_k, gm_k)``, as one
+    concatenation in part order with one ``_factored`` call: each part's
+    weights times its finite, non-negative coefficient (a coefficient of 1
+    leaves them bit for bit), its means, covariances and factors as they
+    are.  Nothing is factorised."""
     if not parts:
-        return GaussianMixture.empty(dim)
-    if len(parts) == 1:
-        return parts[0]
+        return GaussianMixture.empty(dimension)
+    factors = np.array([factor for factor, _ in parts], dtype=float)
+    bad = ~(np.isfinite(factors) & (factors >= 0.0))
+    if bad.any():
+        raise ValueError(f"scale factor must be finite and non-negative, got {factors[bad][0]}")
+    mixtures = [gm for _, gm in parts]
+    if any(gm.dimension != dimension for gm in mixtures):
+        raise ValueError("all mixtures must share one state dimension")
+    # One product over the concatenation: the same per-element products as
+    # scaling each part, without a numpy call per part.
+    weights = np.concatenate([gm.weights for gm in mixtures])
+    weights *= np.repeat(factors, [gm.size for gm in mixtures])
     return GaussianMixture._factored(
-        *(np.concatenate([getattr(gm, name) for gm in parts]) for name in _ARRAYS)
+        weights, *(np.concatenate([getattr(gm, name) for gm in mixtures]) for name in _ARRAYS[1:])
     )
 
 
 def scale(gm: GaussianMixture, factor: float) -> GaussianMixture:
     """Multiply the intensity by a finite, non-negative scalar."""
-    factor = float(factor)
-    if not factor >= 0.0 or not np.isfinite(factor):
-        raise ValueError(f"scale factor must be finite and non-negative, got {factor}")
-    if gm.size == 0:
-        return gm
-    return GaussianMixture._factored(gm.weights * factor, gm.means, gm.covariances, gm.whiten)
+    return _weighted_sum([(factor, gm)], gm.dimension)
 
 
 def _subset(gm: GaussianMixture, index: np.ndarray) -> GaussianMixture:
@@ -374,6 +382,8 @@ def merge(gm: GaussianMixture, merge_threshold: float) -> GaussianMixture:
             group = int.from_bytes(row, "little") & alive
             alive ^= group
             groups.append(group.to_bytes(row_bytes, "little"))
+            if not alive:
+                break
     bits = np.frombuffer(b"".join(groups), dtype=np.uint8).reshape(len(groups), row_bytes)
     label = np.unpackbits(bits, axis=1, count=count, bitorder="little").argmax(axis=0)
     # A zero-weight group's first member is its lead: a zero-weight component

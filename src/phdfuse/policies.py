@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -101,42 +101,154 @@ class TransmissionEntry:
             object.__setattr__(self, "weight", float(self.weight))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Transmission:
-    """What one sensor puts on the wire in one consensus round."""
+    """What one sensor puts on the wire in one consensus round, as stacked
+    read-only arrays.
+
+    ``means`` (n, d) and ``covariances`` (n, d, d) are the sent components;
+    ``weights`` (n,) carries each weight verbatim, or ``counts`` (n,) are
+    integer draw counts that share ``shared_weight`` (the other of the two is
+    ``None``; an empty record carries weights).  ``whiten`` holds the
+    sender's whitening factors of the covariances (see ``GaussianMixture``):
+    it stays in memory and is not on the wire, so that ``reconstruct`` adopts
+    the arrays without factorising them again.
+
+    ``Transmission(policy, entries, shared_weight, dimension)`` builds one
+    from ``TransmissionEntry`` objects and stacks them once, checking them as
+    a received mixture is checked: shapes, finite non-negative weights,
+    finite means, symmetric positive-definite covariances.  The policies
+    build theirs by indexing the sender's mixture, which was checked when it
+    was built.  ``entries`` is the same record as a tuple of entries, built
+    on first use.
+    """
 
     policy: PolicyTag
-    entries: tuple[TransmissionEntry, ...]
+    means: np.ndarray
+    covariances: np.ndarray
+    whiten: np.ndarray = field(repr=False)
+    weights: np.ndarray | None
+    counts: np.ndarray | None
     shared_weight: float | None
     dimension: int
+    _entries: tuple[TransmissionEntry, ...] | None = field(repr=False)
 
-    def __post_init__(self) -> None:
-        entries = tuple(self.entries)
-        if self.dimension < 1:
+    def __init__(
+        self,
+        policy: PolicyTag,
+        entries: Iterable[TransmissionEntry],
+        shared_weight: float | None,
+        dimension: int,
+    ) -> None:
+        entries = tuple(entries)
+        if dimension < 1:
             raise ValueError("transmission dimension must be positive")
-        count_mode = [entry.count is not None for entry in entries]
-        if any(count_mode) and not all(count_mode):
+        count_mode = {entry.count is not None for entry in entries}
+        if len(count_mode) > 1:
             raise ValueError("entries must be uniformly count-based or weight-based")
-        uses_counts = bool(entries) and all(count_mode)
-        if uses_counts != (self.shared_weight is not None):
-            raise ValueError("shared_weight must be present exactly for count-based entries")
-        if self.shared_weight is not None and (
-            not np.isfinite(self.shared_weight) or self.shared_weight < 0.0
-        ):
-            raise ValueError("shared_weight must be finite and non-negative")
         for entry in entries:
-            if entry.mean.size != self.dimension:
+            if entry.mean.size != dimension:
                 raise ValueError("entry dimension differs from transmission dimension")
-        object.__setattr__(self, "entries", entries)
-        if self.shared_weight is not None:
-            object.__setattr__(self, "shared_weight", float(self.shared_weight))
+        carried = [entry.weight if entry.count is None else entry.count for entry in entries]
+        uses_counts = count_mode == {True}
+        self._adopt_checked(
+            policy,
+            np.array([entry.mean for entry in entries], dtype=float).reshape(len(entries), dimension),
+            np.array([entry.covariance for entry in entries], dtype=float).reshape(
+                len(entries), dimension, dimension
+            ),
+            None if uses_counts else np.array(carried, dtype=float),
+            np.array(carried, dtype=np.int64) if uses_counts else None,
+            shared_weight,
+        )
+        object.__setattr__(self, "_entries", entries)
+
+    def _adopt_checked(self, policy, means, covariances, weights, counts, shared_weight) -> None:
+        """Validate stacked arrays from outside the package and adopt them."""
+        if (counts is not None and counts.size > 0) != (shared_weight is not None):
+            raise ValueError("shared_weight must be present exactly for count-based entries")
+        if shared_weight is not None:
+            if not np.isfinite(shared_weight) or shared_weight < 0.0:
+                raise ValueError("shared_weight must be finite and non-negative")
+            if (counts < 1).any():
+                raise ValueError("entry count must be a positive integer")
+            carried = counts * float(shared_weight)
+        else:
+            if not np.isfinite(weights).all() or (weights < 0.0).any():
+                raise ValueError("entry weight must be finite and non-negative")
+            carried = weights
+        # The public constructor checks shapes, finiteness, symmetry and
+        # positive-definiteness, and factorises the covariances once.
+        received = GaussianMixture(carried, means, covariances, means.shape[-1])
+        self._adopt(
+            policy,
+            received.means,
+            received.covariances,
+            received.whiten,
+            received.weights if counts is None else None,
+            counts,
+            shared_weight,
+        )
+
+    def _adopt(self, policy, means, covariances, whiten, weights, counts, shared_weight) -> None:
+        arrays = (means, covariances, whiten, weights, counts)
+        for name, array in zip(("means", "covariances", "whiten", "weights", "counts"), arrays):
+            if array is not None:
+                array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        object.__setattr__(self, "policy", policy)
+        object.__setattr__(self, "shared_weight", None if shared_weight is None else float(shared_weight))
+        object.__setattr__(self, "dimension", int(means.shape[-1]))
+        object.__setattr__(self, "_entries", None)
+
+    @classmethod
+    def _indexed(
+        cls,
+        policy: PolicyTag,
+        gm: GaussianMixture,
+        index,
+        weights: np.ndarray | None = None,
+        counts: np.ndarray | None = None,
+        shared_weight: float | None = None,
+    ) -> "Transmission":
+        """Send the components of ``gm`` at ``index`` (an index array, or
+        ``slice(None)`` for all of them, uncopied) with ``weights`` or with
+        ``counts`` and ``shared_weight``.  Nothing is checked again; the
+        arrays passed are marked read-only, so they must be fresh or a
+        mixture's own."""
+        transmission = object.__new__(cls)
+        transmission._adopt(
+            policy,
+            gm.means[index],
+            gm.covariances[index],
+            gm.whiten[index],
+            weights,
+            counts,
+            shared_weight,
+        )
+        return transmission
+
+    @property
+    def entries(self) -> tuple[TransmissionEntry, ...]:
+        """One ``TransmissionEntry`` per sent component, built on first use."""
+        if self._entries is None:
+            if self.counts is None:
+                kinds = [{"weight": w} for w in self.weights.tolist()]
+            else:
+                kinds = [{"count": c} for c in self.counts.tolist()]
+            entries = tuple(
+                TransmissionEntry(mean=mean, covariance=cov, **kind)
+                for mean, cov, kind in zip(self.means, self.covariances, kinds)
+            )
+            object.__setattr__(self, "_entries", entries)
+        return self._entries
 
     @property
     def uses_counts(self) -> bool:
         return self.shared_weight is not None
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.means)
 
     def __iter__(self) -> Iterator[TransmissionEntry]:
         return iter(self.entries)
@@ -179,21 +291,9 @@ class CostRecord:
     components: int
 
 
-def _explicit(
-    tag: PolicyTag, gm: GaussianMixture, indices: np.ndarray, weights: np.ndarray
-) -> Transmission:
-    """Send the components of ``gm`` at ``indices``, each with the matching
-    entry of ``weights`` carried verbatim."""
-    entries = tuple(
-        TransmissionEntry(mean=gm.means[l], covariance=gm.covariances[l], weight=float(w))
-        for l, w in zip(indices, weights)
-    )
-    return Transmission(tag, entries, None, gm.dimension)
-
-
 def select_full(gm: GaussianMixture) -> Transmission:
     """Broadcast every component with its exact weight."""
-    return _explicit(PolicyTag.FULL, gm, np.arange(gm.size), gm.weights)
+    return Transmission._indexed(PolicyTag.FULL, gm, slice(None), weights=gm.weights)
 
 
 def select_rank(gm: GaussianMixture, bandwidth: int) -> Transmission:
@@ -202,7 +302,7 @@ def select_rank(gm: GaussianMixture, bandwidth: int) -> Transmission:
     if bandwidth < 1:
         raise ValueError("bandwidth must be at least 1")
     kept = cap(gm, bandwidth)
-    return _explicit(PolicyTag.RANK, kept, np.arange(kept.size), kept.weights)
+    return Transmission._indexed(PolicyTag.RANK, kept, slice(None), weights=kept.weights)
 
 
 def select_threshold(gm: GaussianMixture, tau: float) -> Transmission:
@@ -210,7 +310,7 @@ def select_threshold(gm: GaussianMixture, tau: float) -> Transmission:
     if not tau >= 0.0:
         raise ValueError("tau must be non-negative")
     indices = np.flatnonzero(gm.weights > tau)
-    return _explicit(PolicyTag.THRESHOLD, gm, indices, gm.weights[indices])
+    return Transmission._indexed(PolicyTag.THRESHOLD, gm, indices, weights=gm.weights[indices])
 
 
 def _sampling_probabilities(gm: GaussianMixture) -> np.ndarray:
@@ -271,20 +371,15 @@ def sample_with_replacement(
         if positive.size <= budget:
             # The stop-at-B-distinct loop cannot terminate when the budget is
             # vacuous; send every positive-weight component exactly instead.
-            return _explicit(PolicyTag.SAMPLE_REPLACEMENT, gm, positive, gm.weights[positive])
+            return Transmission._indexed(
+                PolicyTag.SAMPLE_REPLACEMENT, gm, positive, weights=gm.weights[positive]
+            )
         counts = _draw_until_b_distinct(probabilities, budget, rng)
     draws_taken = int(counts.sum())
     shared = gm.total_weight() / draws_taken
     selected = np.flatnonzero(counts)
-    entries = tuple(
-        TransmissionEntry(mean=gm.means[l], covariance=gm.covariances[l], count=int(counts[l]))
-        for l in selected
-    )
-    return Transmission(
-        policy=PolicyTag.SAMPLE_REPLACEMENT,
-        entries=entries,
-        shared_weight=shared,
-        dimension=gm.dimension,
+    return Transmission._indexed(
+        PolicyTag.SAMPLE_REPLACEMENT, gm, selected, counts=counts[selected], shared_weight=shared
     )
 
 
@@ -375,33 +470,28 @@ def sample_without_replacement(
         raise ValueError("sampling without replacement requires strictly positive weights")
     budget = config.bandwidth
     if gm.size <= budget:
-        return _explicit(PolicyTag.SAMPLE_NO_REPLACEMENT, gm, np.arange(gm.size), gm.weights)
+        return Transmission._indexed(PolicyTag.SAMPLE_NO_REPLACEMENT, gm, slice(None), weights=gm.weights)
     indices = _exponential_key_selection(gm.weights, budget, rng)
     corrected = gm.weights[indices] / inclusion_probabilities(gm.weights, budget, indices)
-    return _explicit(PolicyTag.SAMPLE_NO_REPLACEMENT, gm, indices, corrected)
+    return Transmission._indexed(PolicyTag.SAMPLE_NO_REPLACEMENT, gm, indices, weights=corrected)
 
 
 def reconstruct(transmission: Transmission) -> GaussianMixture:
-    """Rebuild the transmitted intensity on the receiver side."""
-    entries = transmission.entries
-    if not entries:
-        return GaussianMixture.empty(transmission.dimension)
-    if transmission.uses_counts:
-        weights = np.array([entry.count * transmission.shared_weight for entry in entries])
-    else:
-        weights = np.array([entry.weight for entry in entries])
-    return GaussianMixture(
-        weights=weights,
-        means=np.stack([entry.mean for entry in entries]),
-        covariances=np.stack([entry.covariance for entry in entries]),
-        dimension=transmission.dimension,
+    """Rebuild the transmitted intensity on the receiver side: the record's
+    arrays and factors are adopted as they are, and a count's weight is
+    ``count * shared_weight``."""
+    weights = transmission.weights
+    if weights is None:
+        weights = transmission.counts * transmission.shared_weight
+    return GaussianMixture._factored(
+        weights, transmission.means, transmission.covariances, transmission.whiten
     )
 
 
 def transmission_cost(transmission: Transmission) -> CostRecord:
     """Scalars on the wire: each entry costs mean + packed covariance floats,
     weights cost one float each (or a single shared float), counts are ints."""
-    count = len(transmission.entries)
+    count = len(transmission)
     if count == 0:
         return CostRecord(floats=0, integers=0, components=0)
     dim = transmission.dimension
@@ -416,6 +506,13 @@ _FLAG_SHARED = 0x01
 _FLAG_COUNTS = 0x02
 
 
+def _entry_layout(dim: int, uses_counts: bool) -> np.dtype:
+    """One wire entry: the mean, the upper-triangular covariance (row by
+    row), then a 4-byte count or an 8-byte weight, packed little-endian."""
+    carried = ("count", "<u4") if uses_counts else ("weight", "<f8")
+    return np.dtype([("mean", "<f8", (dim,)), ("upper", "<f8", (dim * (dim + 1) // 2,)), carried])
+
+
 def encode_transmission(transmission: Transmission) -> bytes:
     """Length-prefixed binary record.
 
@@ -426,27 +523,31 @@ def encode_transmission(transmission: Transmission) -> bytes:
     count or an 8-byte weight.  The byte length equals
     ``12 + 8*floats + 4*integers`` of the transmission's cost record.
     """
-    dim = transmission.dimension
+    dim, count = transmission.dimension, len(transmission)
     flags = 0
     if transmission.shared_weight is not None:
         flags |= _FLAG_SHARED | _FLAG_COUNTS
-    chunks = [_HEADER.pack(_TAG_TO_WIRE[transmission.policy], flags, dim, len(transmission.entries))]
+    chunks = [_HEADER.pack(_TAG_TO_WIRE[transmission.policy], flags, dim, count)]
     if transmission.shared_weight is not None:
         chunks.append(struct.pack("<d", transmission.shared_weight))
-    upper = np.triu_indices(dim)
-    for entry in transmission.entries:
-        chunks.append(entry.mean.astype("<f8").tobytes())
-        chunks.append(np.ascontiguousarray(entry.covariance[upper], dtype="<f8").tobytes())
-        if entry.count is not None:
-            chunks.append(struct.pack("<I", entry.count))
-        else:
-            chunks.append(struct.pack("<d", entry.weight))
+    rows = np.empty(count, _entry_layout(dim, transmission.uses_counts))
+    rows["mean"] = transmission.means
+    row, col = np.triu_indices(dim)
+    rows["upper"] = transmission.covariances[:, row, col]
+    if transmission.uses_counts:
+        rows["count"] = transmission.counts
+    else:
+        rows["weight"] = transmission.weights
+    chunks.append(rows.tobytes())
     body = b"".join(chunks)
     return struct.pack("<I", len(body)) + body
 
 
 def decode_transmission(buffer: bytes, offset: int = 0) -> tuple[Transmission, int]:
-    """Decode one record starting at ``offset``; returns it and the next offset."""
+    """Decode one record starting at ``offset``; returns it and the next offset.
+
+    The record is checked as ``Transmission`` checks entries, so a decoded
+    transmission holds finite values and positive-definite covariances."""
     if len(buffer) < offset + 4:
         raise ValueError("truncated transmission record")
     (body_length,) = struct.unpack_from("<I", buffer, offset)
@@ -467,29 +568,22 @@ def decode_transmission(buffer: bytes, offset: int = 0) -> tuple[Transmission, i
     uses_counts = bool(flags & _FLAG_COUNTS)
     if uses_counts != (shared is not None):
         raise ValueError("inconsistent shared-weight / count flags")
-    upper = np.triu_indices(dim)
-    packed_len = dim * (dim + 1) // 2
-    entries = []
-    for _ in range(entry_count):
-        mean = np.frombuffer(buffer, dtype="<f8", count=dim, offset=cursor).copy()
-        cursor += 8 * dim
-        packed = np.frombuffer(buffer, dtype="<f8", count=packed_len, offset=cursor)
-        cursor += 8 * packed_len
-        cov = np.zeros((dim, dim))
-        cov[upper] = packed
-        cov.T[upper] = packed
-        if uses_counts:
-            (count,) = struct.unpack_from("<I", buffer, cursor)
-            cursor += 4
-            entries.append(TransmissionEntry(mean=mean, covariance=cov, count=count))
-        else:
-            (weight,) = struct.unpack_from("<d", buffer, cursor)
-            cursor += 8
-            entries.append(TransmissionEntry(mean=mean, covariance=cov, weight=weight))
-    if cursor != end:
+    layout = _entry_layout(dim, uses_counts)
+    if cursor + entry_count * layout.itemsize != end:
         raise ValueError("transmission record length mismatch")
-    transmission = Transmission(
-        policy=_WIRE_TO_TAG[wire_tag], entries=tuple(entries), shared_weight=shared, dimension=dim
+    rows = np.frombuffer(buffer, dtype=layout, count=entry_count, offset=cursor)
+    row, col = np.triu_indices(dim)
+    covariances = np.empty((entry_count, dim, dim))
+    covariances[:, row, col] = rows["upper"]
+    covariances[:, col, row] = rows["upper"]
+    transmission = object.__new__(Transmission)
+    transmission._adopt_checked(
+        _WIRE_TO_TAG[wire_tag],
+        rows["mean"].astype(float),
+        covariances,
+        None if uses_counts else rows["weight"].astype(float),
+        rows["count"].astype(np.int64) if uses_counts else None,
+        shared,
     )
     return transmission, end
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from phdfuse import consensus
+from phdfuse import consensus, gaussian, policies
 from phdfuse.consensus import (
     ConsensusWeights,
     SensorNetwork,
@@ -509,6 +509,24 @@ class TestConsensusRound:
         config = PhdConfig(max_components=4, prune_threshold=0.0)
         fused, _ = consensus_round(intensities, TRIANGLE, FullPolicy(), reduction=config)
         assert all(gm.size <= 4 for gm in fused)
+
+    @pytest.mark.parametrize(
+        "policy",
+        [FullPolicy(), SampleWithReplacementPolicy(SamplingConfig(bandwidth=3))],
+        ids=["full", "sample_replacement"],
+    )
+    def test_weighted_round_builds_no_entries_and_factorises_nothing(self, monkeypatch, policy):
+        intensities = [random_mixture(np.random.default_rng(s), dim=2, min_components=5) for s in (1, 2, 3)]
+        rngs = [np.random.default_rng(100 + j) for j in range(3)]
+        built = []
+        for owner in (gaussian.GaussianMixture, policies.TransmissionEntry):
+            original = owner.__post_init__
+            monkeypatch.setattr(
+                owner, "__post_init__", lambda self, _o=original: (built.append(self), _o(self))[1]
+            )
+        monkeypatch.setattr(gaussian, "_whitening", lambda covs: built.append(covs))
+        consensus_round(intensities, TRIANGLE, policy, rngs=rngs)
+        assert built == []
 
     def test_argument_validation(self, rng):
         intensities = [random_mixture(rng, dim=2) for _ in range(2)]

@@ -10,6 +10,7 @@ from phdfuse.gaussian import (
     GaussianMixture,
     NumericalFailure,
     _pairwise_mahalanobis2,
+    _weighted_sum,
     _whitening,
     cap,
     coalesce_duplicates,
@@ -253,6 +254,32 @@ class TestSumScale:
         assert scale(gm, 0.25).total_weight() == pytest.approx(
             0.25 * gm.total_weight(), rel=1e-12
         )
+
+    def test_weighted_sum_concatenates_scaled_weights_bit_for_bit(self, rng):
+        mixtures = [random_mixture(rng, dim=3) for _ in range(3)] + [GaussianMixture.empty(3)]
+        factors = [0.5, 1.0 / 3.0, 0.0, 0.25]
+        for count in range(1, len(mixtures) + 1):
+            parts = list(zip(factors[:count], mixtures[:count]))
+            total = _weighted_sum(parts, 3)
+            expected = [np.concatenate([gm.weights * c for c, gm in parts])] + [
+                np.concatenate([getattr(gm, name) for _, gm in parts])
+                for name in ("means", "covariances", "whiten")
+            ]
+            for name, array in zip(("weights", "means", "covariances", "whiten"), expected):
+                np.testing.assert_array_equal(getattr(total, name).view(np.uint64), array.view(np.uint64))
+        # A coefficient of one leaves the weights' bits, signed zeros included.
+        signed = GaussianMixture(np.array([0.0, -0.0, 0.7]), np.zeros((3, 2)), np.stack([np.eye(2)] * 3))
+        summed = mixture_sum([signed, signed]).weights
+        np.testing.assert_array_equal(summed.view(np.uint64), np.tile(signed.weights, 2).view(np.uint64))
+        assert _weighted_sum([], 2).size == 0 and _weighted_sum([], 2).dimension == 2
+
+    def test_weighted_sum_rejects_bad_factors_and_dimensions(self, rng):
+        gm = random_mixture(rng, dim=2)
+        for factor in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="non-negative"):
+                _weighted_sum([(1.0, gm), (factor, gm)], 2)
+        with pytest.raises(ValueError, match="dimension"):
+            _weighted_sum([(1.0, gm), (1.0, random_mixture(rng, dim=3))], 2)
 
 
 class TestPrune:

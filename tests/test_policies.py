@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,7 +31,7 @@ from phdfuse.policies import (
     select_threshold,
     transmission_cost,
 )
-from phdfuse.policies import _exponential_key_selection
+from phdfuse.policies import _TAG_TO_WIRE, _exponential_key_selection
 from conftest import random_mixture
 
 
@@ -461,3 +463,197 @@ class TestPolicyObjects:
             SampleWithoutReplacementPolicy(
                 SamplingConfig(bandwidth=2)
             ).select(gm)
+
+
+def legacy_encode(transmission):
+    """The encoder that ran before the wire record was stacked: header,
+    optional shared weight, then one ``struct`` write per entry.  Takes any
+    object with ``policy``, ``dimension``, ``shared_weight`` and ``entries``."""
+    dim = transmission.dimension
+    flags = 0x03 if transmission.shared_weight is not None else 0
+    chunks = [
+        struct.pack("<BBHI", _TAG_TO_WIRE[transmission.policy], flags, dim, len(transmission.entries))
+    ]
+    if transmission.shared_weight is not None:
+        chunks.append(struct.pack("<d", transmission.shared_weight))
+    upper = np.triu_indices(dim)
+    for entry in transmission.entries:
+        chunks.append(entry.mean.astype("<f8").tobytes())
+        chunks.append(np.ascontiguousarray(entry.covariance[upper], dtype="<f8").tobytes())
+        if entry.count is not None:
+            chunks.append(struct.pack("<I", entry.count))
+        else:
+            chunks.append(struct.pack("<d", entry.weight))
+    body = b"".join(chunks)
+    return struct.pack("<I", len(body)) + body
+
+
+def legacy_reconstruct(transmission):
+    """The receiver before transmissions carried arrays: stack the entries
+    and pass them through the public constructor."""
+    entries = transmission.entries
+    if not entries:
+        return GaussianMixture.empty(transmission.dimension)
+    if transmission.uses_counts:
+        weights = np.array([entry.count * transmission.shared_weight for entry in entries])
+    else:
+        weights = np.array([entry.weight for entry in entries])
+    return GaussianMixture(
+        weights=weights,
+        means=np.stack([entry.mean for entry in entries]),
+        covariances=np.stack([entry.covariance for entry in entries]),
+        dimension=transmission.dimension,
+    )
+
+
+def every_policy(rng, dim):
+    """One transmission of each policy and mode from random mixtures in
+    ``dim`` dimensions, plus the empty record."""
+    gm = random_mixture(rng, dim=dim, min_components=8, max_components=12)
+    config = SamplingConfig(bandwidth=3)
+    return {
+        "full": select_full(gm),
+        "rank": select_rank(gm, 4),
+        "threshold": select_threshold(gm, float(np.median(gm.weights))),
+        "replacement_counts": sample_with_replacement(gm, config, rng),
+        "replacement_fixed_draws": sample_with_replacement(
+            gm, SamplingConfig(bandwidth=3, draw_mode="fixed_draws", draws=3), rng
+        ),
+        "replacement_vacuous_budget": sample_with_replacement(gm, SamplingConfig(bandwidth=20), rng),
+        "no_replacement": sample_without_replacement(gm, config, rng),
+        "no_replacement_whole": sample_without_replacement(gm, SamplingConfig(bandwidth=20), rng),
+        "empty": select_threshold(gm, 10.0),
+    }
+
+
+def assert_same_bits(a, b, name):
+    assert a.shape == b.shape and a.dtype == b.dtype, name
+    assert a.tobytes() == b.tobytes(), name
+
+
+class TestStackedTransmission:
+    DIMS = (1, 2, 4)
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_reconstruct_matches_the_public_constructor_bit_for_bit(self, dim):
+        rng = np.random.default_rng(dim)
+        for name, tx in every_policy(rng, dim).items():
+            new, old = reconstruct(tx), legacy_reconstruct(tx)
+            assert new.dimension == old.dimension == dim, name
+            for array in ("weights", "means", "covariances", "whiten"):
+                assert_same_bits(getattr(new, array), getattr(old, array), f"{name} {array}")
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_modes_cover_counts_weights_and_empty(self, dim):
+        txs = every_policy(np.random.default_rng(dim), dim)
+        assert txs["replacement_counts"].uses_counts
+        assert txs["replacement_counts"].weights is None
+        assert not txs["replacement_vacuous_budget"].uses_counts
+        assert len(txs["empty"]) == 0 and not txs["empty"].uses_counts
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_encoder_writes_the_legacy_bytes(self, dim):
+        rng = np.random.default_rng(10 + dim)
+        for name, tx in every_policy(rng, dim).items():
+            blob = encode_transmission(tx)
+            assert blob == legacy_encode(tx), name
+            decoded, end = decode_transmission(blob)
+            assert end == len(blob) and decoded.policy is tx.policy, name
+            assert blob == encode_transmission(decoded), name
+            before, after = reconstruct(tx), reconstruct(decoded)
+            for array in ("weights", "means", "covariances", "whiten"):
+                assert_same_bits(getattr(after, array), getattr(before, array), f"{name} {array}")
+
+    def test_hand_built_records_encode_as_before(self):
+        for dim in self.DIMS:
+            entries = tuple(
+                TransmissionEntry(np.arange(dim) + l, np.eye(dim) * (l + 1), count=l + 1)
+                for l in range(3)
+            )
+            counted = Transmission(PolicyTag.SAMPLE_REPLACEMENT, entries, 0.25, dim)
+            weighted = Transmission(
+                PolicyTag.RANK,
+                [TransmissionEntry(e.mean, e.covariance, weight=0.5 * e.count) for e in entries],
+                None,
+                dim,
+            )
+            for tx in (counted, weighted, Transmission(PolicyTag.FULL, (), None, dim)):
+                assert encode_transmission(tx) == legacy_encode(tx)
+
+    def test_entries_view_equals_the_arrays(self, rng):
+        for name, tx in every_policy(rng, 3).items():
+            entries = tx.entries
+            assert entries is tx.entries and len(entries) == len(tx), name
+            assert list(tx) == list(entries), name
+            for l, entry in enumerate(entries):
+                np.testing.assert_array_equal(entry.mean, tx.means[l])
+                np.testing.assert_array_equal(entry.covariance, tx.covariances[l])
+                if tx.uses_counts:
+                    assert entry.weight is None and entry.count == tx.counts[l]
+                else:
+                    assert entry.count is None and entry.weight == tx.weights[l]
+
+    def test_built_from_entries_keeps_them(self):
+        entries = (TransmissionEntry(np.zeros(2), np.eye(2), weight=1.0),)
+        tx = Transmission(PolicyTag.FULL, entries, None, 2)
+        assert tx.entries is entries
+        np.testing.assert_array_equal(tx.whiten, np.eye(2)[np.newaxis])
+
+    def test_arrays_are_read_only(self, rng):
+        for name, tx in every_policy(rng, 2).items():
+            for array in ("means", "covariances", "whiten", "weights", "counts"):
+                value = getattr(tx, array)
+                if value is not None:
+                    assert not value.flags.writeable, f"{name} {array}"
+                    with pytest.raises(ValueError, match="read-only"):
+                        value[...] = 0
+
+    def test_sender_factor_is_carried_not_recomputed(self, rng):
+        gm = random_mixture(rng, dim=3, min_components=6)
+        tx = select_threshold(gm, float(np.median(gm.weights)))
+        kept = gm.weights > float(np.median(gm.weights))
+        assert_same_bits(tx.whiten, gm.whiten[kept], "whiten")
+        # Full broadcast sends the sender's arrays themselves, read-only.
+        full = select_full(gm)
+        for array in ("means", "covariances", "whiten", "weights"):
+            assert np.shares_memory(getattr(full, array), getattr(gm, array)), array
+
+    def test_entries_with_bad_covariances_are_rejected_on_construction(self):
+        asymmetric = np.array([[1.0, 0.5], [0.0, 1.0]])
+        indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+        for cov, error, match in (
+            (asymmetric, ValueError, "not symmetric"),
+            (indefinite, NumericalFailure, "positive definite"),
+        ):
+            for kind, shared in (({"weight": 1.0}, None), ({"count": 2}, 0.5)):
+                entry = TransmissionEntry(np.zeros(2), cov, **kind)
+                with pytest.raises(error, match=match):
+                    Transmission(PolicyTag.FULL, (entry,), shared, 2)
+        with pytest.raises(ValueError, match="covariance shape"):
+            TransmissionEntry(np.zeros(2), np.eye(3), weight=1.0)
+        with pytest.raises(NumericalFailure, match="means must be finite"):
+            Transmission(
+                PolicyTag.FULL, (TransmissionEntry(np.full(2, np.nan), np.eye(2), weight=1.0),), None, 2
+            )
+
+    def test_decoder_rejects_what_the_constructor_rejects(self):
+        def record(cov, **kind):
+            entry = TransmissionEntry(np.zeros(2), cov, **kind)
+            shared = 0.5 if "count" in kind else None
+            return legacy_encode(
+                SimpleNamespace(policy=PolicyTag.FULL, dimension=2, shared_weight=shared, entries=(entry,))
+            )
+
+        indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(NumericalFailure, match="positive definite"):
+            decode_transmission(record(indefinite, weight=1.0))
+        with pytest.raises(NumericalFailure, match="positive definite"):
+            decode_transmission(record(indefinite, count=1))
+        bad_weight = bytearray(record(np.eye(2), weight=1.0))
+        bad_weight[-8:] = struct.pack("<d", -1.0)
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            decode_transmission(bytes(bad_weight))
+        zero_count = bytearray(record(np.eye(2), count=1))
+        zero_count[-4:] = struct.pack("<I", 0)
+        with pytest.raises(ValueError, match="positive integer"):
+            decode_transmission(bytes(zero_count))
